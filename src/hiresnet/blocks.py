@@ -93,10 +93,22 @@ def se_attention(x, store, prefix):
 # window attention on scalar tokens
 #
 # The feature map is cut into L x L windows with channels folded into the
-# batch axis, so every window contributes L^2 scalar tokens. Learned
-# projections (shared across channels and windows) lift each scalar to
-# `heads` vectors of head_dim for Q/K/V; heads are merged back to one scalar
-# per token by an output projection.
+# batch axis, so every window contributes L^2 scalar tokens. Each head has
+# learned Q/K/V vectors of head_dim (weight and bias, shared across channels
+# and windows) and an output projection merges the heads back to one scalar.
+# Because the tokens are scalars, this reduces exactly to a few per-head
+# scalars, and the [B, T, heads*head_dim] lift is never built:
+#
+#   q_i.k_j / sqrt(d) = (alpha x_i + gamma) x_j + (terms constant in j),
+#     alpha = w_q.w_k / sqrt(d),  gamma = b_q.w_k / sqrt(d)
+#
+# and terms constant along the softmax axis cancel, so a key bias would have
+# no effect and there is none. Attention rows sum to 1, so the output is
+#
+#   out_i = sum_h beta_h (P_h x)_i + delta,
+#     beta = w_v.w_o per head,  delta = b_v.w_o + b_o
+#
+# T.scalar_token_attention computes the first term as one fused op.
 
 
 def window_partition(x, window):
@@ -121,7 +133,8 @@ def init_wmhsa(store, prefix, heads, head_dim, rng):
     for proj in ("q", "k", "v"):
         store.add_param(f"{prefix}.{proj}.weight",
                         rng.uniform(-1.0, 1.0, size=hd).astype(store.dtype))
-        store.add_param(f"{prefix}.{proj}.bias", np.zeros(hd))
+        if proj != "k":
+            store.add_param(f"{prefix}.{proj}.bias", np.zeros(hd))
     store.add_param(f"{prefix}.out.weight",
                     rng.uniform(-1.0, 1.0, size=hd).astype(store.dtype) / math.sqrt(hd))
     store.add_param(f"{prefix}.out.bias", np.zeros(1))
@@ -130,21 +143,20 @@ def init_wmhsa(store, prefix, heads, head_dim, rng):
 def wmhsa(x, store, prefix, spec: WindowSpec, return_attn=False):
     n, c, h, w = x.shape
     L, heads, dh = spec.window, spec.heads, spec.head_dim
-    tok = T.reshape(window_partition(x, L), (-1, L * L, 1))
-    b, t = tok.shape[0], L * L
+    tok = T.reshape(window_partition(x, L), (-1, L * L))
 
-    def lift(name):
-        p = tok * store[f"{prefix}.{name}.weight"] + store[f"{prefix}.{name}.bias"]
-        return T.transpose(T.reshape(p, (b, t, heads, dh)), (0, 2, 1, 3))
+    def per_head(name):
+        return T.reshape(store[f"{prefix}.{name}"], (heads, dh))
 
-    q, k, v = lift("q"), lift("k"), lift("v")
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    ctx = T.matmul(attn, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, heads * dh))
-    out = T.tsum(ctx * store[f"{prefix}.out.weight"], axis=-1, keepdims=True)
-    out = out + store[f"{prefix}.out.bias"]
-    out = window_merge(T.reshape(out, (b, L, L)), n, c, h, w, L)
+    k_w, out_w = per_head("k.weight"), per_head("out.weight")
+    scale = 1.0 / math.sqrt(dh)
+    alpha = T.tsum(per_head("q.weight") * k_w, axis=-1) * scale
+    gamma = T.tsum(per_head("q.bias") * k_w, axis=-1) * scale
+    beta = T.tsum(per_head("v.weight") * out_w, axis=-1)
+    delta = T.tsum(per_head("v.bias") * out_w) + store[f"{prefix}.out.bias"]
+    res = T.scalar_token_attention(tok, alpha, gamma, beta, return_attn=return_attn)
+    y, attn = res if return_attn else (res, None)
+    out = window_merge(T.reshape(y + delta, (-1, L, L)), n, c, h, w, L)
     out = out + x  # inner skip
     if return_attn:
         return out, attn
@@ -180,7 +192,7 @@ def ia_block(x, store, prefix, window_spec, dw_kernel, se_ratio,
 def ia_block_param_count(c, heads, head_dim, dw_kernel, se_ratio):
     """Closed-form learnable-parameter total for one IA block."""
     hd = heads * head_dim
-    attn = 3 * (hd + hd) + hd + 1
+    attn = 3 * hd + 2 * hd + hd + 1  # q/k/v weights, q/v biases, out weight + bias
     se = c * (c // se_ratio) + c // se_ratio + (c // se_ratio) * c + c
     dw = c * dw_kernel * dw_kernel + c
     proj = c * c + c

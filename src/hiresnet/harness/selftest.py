@@ -33,6 +33,9 @@ def _grad_suite(rng):
     spec = ConvSpec(3, (3, 3), (2, 2), (1, 1))
     worst = max(worst, check_gradients(
         lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], spec) ** 2.0), [x, w, b], rng))
+    tok, per_head = rng.normal(size=(3, 9)), [rng.normal(size=(2,)) for _ in range(3)]
+    worst = max(worst, check_gradients(
+        lambda ts: T.tsum(T.scalar_token_attention(*ts) ** 2.0), [tok, *per_head], rng))
     return worst < 1e-4, f"max rel err {worst:.2e}"
 
 

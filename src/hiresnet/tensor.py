@@ -44,7 +44,9 @@ class Tape:
 
     Invariant: every parent of node i has index < i, so one reverse pass over
     the append order visits each node exactly once. A tape that has run
-    backward() must be reset() before recording again.
+    backward() must be reset() before recording again. backward() unhooks
+    the leaves, so parameters that outlive a step do not keep its consumed
+    tape (and every array its closures saved) alive.
     """
 
     def __init__(self):
@@ -253,6 +255,8 @@ def backward(loss):
         g = grads[idx]
         if g is not None:
             leaf.grad = g if leaf.grad is None else leaf.grad + g
+        leaf._tape = None
+        leaf._node = None
 
 
 def _coerce(x, like):
@@ -477,6 +481,62 @@ def softmax(a, axis):
         return (out * (g - dot),)
 
     return _record(out, (a,), bwd)
+
+
+def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
+    """Multi-head softmax attention over windows of scalar tokens, fused.
+
+    tok is [B, T]; alpha, gamma, beta are per-head [H]. With u = alpha*x_i +
+    gamma, head h attends with P = softmax_j(u_i x_j) and the result is
+    y_i = sum_h beta_h (P x)_i, shape [B, T]. With return_attn, P
+    [B, H, T, T] is returned beside y as a constant tensor.
+
+    The row max is exact without scanning the scores: u_i max(x) when
+    u_i >= 0, else u_i min(x). Tokens are centered per window first (softmax
+    is invariant to that shift), which keeps the products small. Backward
+    needs only P, r = P x and q = P x^2 (taken of the centered tokens):
+    du = beta g (q - r^2), and dx is one P^T [beta g, u beta g, u beta g r]
+    product plus alpha du.
+    """
+    x = tok.data
+    if x.ndim != 2 or any(p.data.ndim != 1 for p in (alpha, gamma, beta)):
+        raise ShapeError(f"expected tokens [B, T] and per-head vectors, got {x.shape}")
+    b, t = x.shape
+    heads = alpha.data.shape[0]
+    if gamma.data.shape != (heads,) or beta.data.shape != (heads,):
+        raise ShapeError("alpha, gamma and beta must have one entry per head")
+    al, ga, be = alpha.data, gamma.data, beta.data
+    x_mean = x.mean(axis=1, keepdims=True)
+    xc = x - x_mean                                                         # [B, T]
+    u = al[:, None] * x[:, None, :] + ga[:, None]                           # [B, H, T]
+    x_sel = np.where(u >= 0, xc.max(axis=1)[:, None, None], xc.min(axis=1)[:, None, None])
+    # scores minus the row max, u_i xc_j - u_i x_sel, as one rank-2 product
+    lhs = np.stack([u, -u * x_sel], axis=-1).reshape(b, heads * t, 2)
+    e = lhs @ np.stack([xc, np.ones_like(xc)], axis=1)                      # [B, H*T, T]
+    np.exp(e, out=e)
+    # one pass over e yields the row sums and both moments: e @ [1, xc, xc^2]
+    mom = (e @ np.stack([np.ones_like(xc), xc, xc * xc], axis=-1)).reshape(b, heads, t, 3)
+    z = mom[..., 0]
+    r = mom[..., 1] / z                                                     # P xc
+    out = np.einsum("h,bht->bt", be, r) + be.sum() * x_mean
+
+    def bwd(g):
+        bg = be[:, None] * g[:, None, :]                                    # [B, H, T]
+        du = bg * (mom[..., 2] / z - r * r)
+        ubg = u * bg
+        # P^T V = e^T (V / z), contracting heads and query tokens in one matmul
+        v = (np.stack([bg, ubg, ubg * r], axis=-1) / z[..., None]).reshape(b, heads * t, 3)
+        pv = np.swapaxes(e, 1, 2) @ v                                       # [B, T, 3]
+        gx = pv[..., 0] + xc * pv[..., 1] - pv[..., 2] + np.einsum("h,bht->bt", al, du)
+        g_alpha = np.einsum("bht,bt->h", du, x)
+        g_gamma = du.sum(axis=(0, 2))
+        g_beta = np.einsum("bt,bht->h", g, r) + np.sum(g * x_mean)
+        return gx, g_alpha, g_gamma, g_beta
+
+    y = _record(out, (tok, alpha, gamma, beta), bwd)
+    if return_attn:
+        return y, Tensor(e.reshape(b, heads, t, t) / z[..., None])
+    return y
 
 
 def log_softmax(a, axis):

@@ -11,6 +11,7 @@ from hiresnet.harness import data as D
 from hiresnet.harness import metrics as M
 from hiresnet.harness.optim import (NumericalError, OptimState, Schedule,
                                     adamw_step, lr_at)
+from hiresnet.network import NetworkConfig, init_network
 from hiresnet.params import ParamStore
 
 
@@ -317,6 +318,32 @@ def test_checkpoint_shape_mismatch_names_offender(tmp_path):
     other.add_buffer("layer.running_mean", np.zeros(3, dtype=np.float32))
     with pytest.raises(ckpt.CheckpointError, match="layer.weight"):
         ckpt.restore_store(other, params, buffers, path=str(path))
+
+
+def test_checkpoint_with_key_bias_entries_restores(tmp_path):
+    # HIRES1 files written before window attention dropped its (dead) key
+    # bias carry `*.attn.k.bias`; restore_store ignores names the store lacks
+    config = NetworkConfig()
+    store = init_network(config, np.random.default_rng(3))
+    entries = {f"param.{name}": t.data for name, t in store.params()}
+    entries.update({f"buffer.{name}": t.data for name, t in store.buffers()})
+    stale = [name.replace(".k.weight", ".k.bias") for name, _ in store.params()
+             if name.endswith(".attn.k.weight")]
+    assert stale
+    for name in stale:
+        entries[f"param.{name}"] = np.full(config.heads * config.head_dim, 0.25, np.float32)
+    path = tmp_path / "old.ckpt"
+    ckpt.write_entries(path, entries)
+
+    params, buffers, _, _ = ckpt.load_checkpoint(path)
+    assert all(name in params for name in stale)
+    fresh = init_network(config, np.random.default_rng(4))
+    ckpt.restore_store(fresh, params, buffers, path=str(path))
+    for name, t in store.params():
+        np.testing.assert_array_equal(fresh[name].data, t.data)
+    for name, t in store.buffers():
+        np.testing.assert_array_equal(fresh[name].data, t.data)
+    assert not any(name in fresh for name in stale)
 
 
 def test_training_loss_decreases_over_epochs():

@@ -1,7 +1,9 @@
 """Tensor core: op semantics, gradient checks against finite differences,
 layout round trips, and stability properties."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -189,6 +191,23 @@ def test_log_softmax_gradient_vs_fd():
     err = check_gradients(
         lambda ts: T.tsum(T.log_softmax(ts[0], axis=1) * T.Tensor(tgt)), [x], rng, max_coords=10)
     assert err < 1e-6
+
+
+def test_scalar_token_attention_gradient_vs_fd():
+    rng = np.random.default_rng(7)
+    tok, alpha, gamma, beta = rand(rng, (3, 5)), rand(rng, (2,)), rand(rng, (2,)), rand(rng, (2,))
+    tgt = T.Tensor(rand(rng, (3, 5)))
+    err = check_gradients(
+        lambda ts: T.tsum(T.scalar_token_attention(*ts) * tgt), [tok, alpha, gamma, beta], rng,
+        max_coords=15)
+    assert err < 1e-6
+
+
+def test_scalar_token_attention_rejects_mismatched_heads():
+    tok = T.Tensor(np.zeros((2, 4)))
+    with pytest.raises(T.ShapeError):
+        T.scalar_token_attention(tok, T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3)),
+                                 T.Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +526,20 @@ def test_tape_requires_reset_between_backwards():
     with tape:
         T.backward(T.tsum(x * 3.0))
     np.testing.assert_array_equal(x.grad, [4.0, 4.0])  # 1 + 3 accumulated
+
+
+def test_consumed_tape_dies_with_its_step():
+    w = T.Tensor(np.ones((3, 3)), requires_grad=True)  # outlives every step, like a parameter
+
+    def step():
+        with T.Tape() as tape:
+            T.backward(T.tsum(T.gelu(T.matmul(w, w)) * 2.0))
+        return weakref.ref(tape)
+
+    ref = step()
+    gc.collect()  # the tape's closures and tensors reference each other
+    assert ref() is None
+    assert w.grad is not None
 
 
 def test_tape_determinism():
