@@ -4,7 +4,9 @@ aggregation block that composes them.
 
 All blocks preserve [N, C, H, W] shape; resampling lives in the network
 assembly. Blocks are pure functions of (input, params) apart from BN
-running-stat updates in training mode.
+running-stat updates in training mode. Each layer fetches its tensors with
+`store.get(name, shape, init)` where it uses them, which also defines them
+for a record pass (see `hiresnet.params`).
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
-from .params import init_bn, init_conv, init_linear
+from .params import conv_uniform, linear_uniform, ones, zeros
 from .tensor import ConvSpec, ShapeError
 
 ACTIVATIONS = {"gelu": T.gelu, "silu": T.silu, "relu": T.relu, "sigmoid": T.sigmoid}
@@ -31,28 +31,28 @@ class WindowSpec:
 
 
 def apply_bn(x, store, name, training, momentum=0.1):
-    return T.batchnorm2d(x, store[f"{name}.gamma"], store[f"{name}.beta"],
-                         store[f"{name}.running_mean"], store[f"{name}.running_var"],
+    c = (x.shape[1],)
+    return T.batchnorm2d(x, store.get(f"{name}.gamma", c, ones),
+                         store.get(f"{name}.beta", c, zeros),
+                         store.get(f"{name}.running_mean", c, zeros, buffer=True),
+                         store.get(f"{name}.running_var", c, ones, buffer=True),
                          training=training, momentum=momentum)
 
 
 def apply_conv(x, store, name, spec):
-    bias_name = f"{name}.bias"
-    bias = store[bias_name] if bias_name in store else None
-    return T.conv2d(x, store[f"{name}.weight"], bias, spec)
+    shape = (spec.out_channels, x.shape[1] // spec.groups, *spec.kernel)
+    return T.conv2d(x, store.get(f"{name}.weight", shape, conv_uniform),
+                    store.get(f"{name}.bias", (spec.out_channels,), zeros), spec)
+
+
+def apply_linear(x, store, name, out_features):
+    """[N, in] -> [N, out] through an [in, out] weight and a bias."""
+    weight = store.get(f"{name}.weight", (x.shape[-1], out_features), linear_uniform)
+    return T.matmul(x, weight) + store.get(f"{name}.bias", (out_features,), zeros)
 
 
 # ---------------------------------------------------------------------------
 # inverted bottleneck: thin heads, 4x-wide middle, linear residual join
-
-
-def init_ib_block(store, prefix, c, rng):
-    init_bn(store, f"{prefix}.bn1", c)
-    init_conv(store, f"{prefix}.conv1", c, c, 3, 3, rng)
-    init_bn(store, f"{prefix}.bn2", c)
-    init_conv(store, f"{prefix}.conv2", 4 * c, c, 1, 1, rng)
-    init_bn(store, f"{prefix}.bn3", 4 * c)
-    init_conv(store, f"{prefix}.conv3", c, 4 * c, 1, 1, rng)
 
 
 def ib_block(x, store, prefix, training):
@@ -72,20 +72,13 @@ def ib_block(x, store, prefix, training):
 # squeeze-and-excitation channel gate
 
 
-def init_se(store, prefix, c, ratio, rng):
+def se_attention(x, store, prefix, ratio):
+    n, c = x.shape[0], x.shape[1]
     if c % ratio:
         raise ShapeError(f"channels {c} not divisible by SE ratio {ratio}")
-    init_linear(store, f"{prefix}.fc1", c, c // ratio, rng)
-    init_linear(store, f"{prefix}.fc2", c // ratio, c, rng)
-
-
-def se_attention(x, store, prefix):
-    n, c = x.shape[0], x.shape[1]
     s = T.global_avg_pool(x)
-    z = T.matmul(s, store[f"{prefix}.fc1.weight"]) + store[f"{prefix}.fc1.bias"]
-    z = T.silu(z)
-    z = T.matmul(z, store[f"{prefix}.fc2.weight"]) + store[f"{prefix}.fc2.bias"]
-    gate = T.sigmoid(z)
+    z = T.silu(apply_linear(s, store, f"{prefix}.fc1", c // ratio))
+    gate = T.sigmoid(apply_linear(z, store, f"{prefix}.fc2", c))
     return x * T.reshape(gate, (n, c, 1, 1))
 
 
@@ -128,16 +121,13 @@ def window_merge(t, n, c, h, w, window):
     return T.reshape(t, (n, c, h, w))
 
 
-def init_wmhsa(store, prefix, heads, head_dim, rng):
-    hd = heads * head_dim
-    for proj in ("q", "k", "v"):
-        store.add_param(f"{prefix}.{proj}.weight",
-                        rng.uniform(-1.0, 1.0, size=hd).astype(store.dtype))
-        if proj != "k":
-            store.add_param(f"{prefix}.{proj}.bias", np.zeros(hd))
-    store.add_param(f"{prefix}.out.weight",
-                    rng.uniform(-1.0, 1.0, size=hd).astype(store.dtype) / math.sqrt(hd))
-    store.add_param(f"{prefix}.out.bias", np.zeros(1))
+def unit_uniform(rng, shape, dtype):
+    return rng.uniform(-1.0, 1.0, size=shape).astype(dtype)
+
+
+def out_uniform(rng, shape, dtype):
+    """U(-1, 1) / √(heads·head_dim) for the [heads·head_dim] output projection."""
+    return rng.uniform(-1.0, 1.0, size=shape).astype(dtype) / math.sqrt(shape[0])
 
 
 def wmhsa(x, store, prefix, spec: WindowSpec, return_attn=False):
@@ -145,15 +135,19 @@ def wmhsa(x, store, prefix, spec: WindowSpec, return_attn=False):
     L, heads, dh = spec.window, spec.heads, spec.head_dim
     tok = T.reshape(window_partition(x, L), (-1, L * L))
 
-    def per_head(name):
-        return T.reshape(store[f"{prefix}.{name}"], (heads, dh))
+    def per_head(name, init):
+        return T.reshape(store.get(f"{prefix}.{name}", (heads * dh,), init), (heads, dh))
 
-    k_w, out_w = per_head("k.weight"), per_head("out.weight")
+    q_w, q_b = per_head("q.weight", unit_uniform), per_head("q.bias", zeros)
+    k_w = per_head("k.weight", unit_uniform)
+    v_w, v_b = per_head("v.weight", unit_uniform), per_head("v.bias", zeros)
+    out_w = per_head("out.weight", out_uniform)
+    out_b = store.get(f"{prefix}.out.bias", (1,), zeros)
     scale = 1.0 / math.sqrt(dh)
-    alpha = T.tsum(per_head("q.weight") * k_w, axis=-1) * scale
-    gamma = T.tsum(per_head("q.bias") * k_w, axis=-1) * scale
-    beta = T.tsum(per_head("v.weight") * out_w, axis=-1)
-    delta = T.tsum(per_head("v.bias") * out_w) + store[f"{prefix}.out.bias"]
+    alpha = T.tsum(q_w * k_w, axis=-1) * scale
+    gamma = T.tsum(q_b * k_w, axis=-1) * scale
+    beta = T.tsum(v_w * out_w, axis=-1)
+    delta = T.tsum(v_b * out_w) + out_b
     res = T.scalar_token_attention(tok, alpha, gamma, beta, return_attn=return_attn)
     y, attn = res if return_attn else (res, None)
     out = window_merge(T.reshape(y + delta, (-1, L, L)), n, c, h, w, L)
@@ -167,20 +161,13 @@ def wmhsa(x, store, prefix, spec: WindowSpec, return_attn=False):
 # information aggregation block: WMHSA -> SE -> DW conv -> 1x1, outer skip
 
 
-def init_ia_block(store, prefix, c, heads, head_dim, dw_kernel, se_ratio, rng):
-    init_wmhsa(store, f"{prefix}.attn", heads, head_dim, rng)
-    init_se(store, f"{prefix}.se", c, se_ratio, rng)
-    init_conv(store, f"{prefix}.dw", c, 1, dw_kernel, dw_kernel, rng)
-    init_conv(store, f"{prefix}.proj", c, c, 1, 1, rng)
-
-
 def ia_block(x, store, prefix, window_spec, dw_kernel, se_ratio,
              activations=("gelu", "silu")):
     c = x.shape[1]
     act1, act2 = (ACTIVATIONS[a] for a in activations)
     h = wmhsa(x, store, f"{prefix}.attn", window_spec)
     h = act1(h)
-    h = se_attention(h, store, f"{prefix}.se")
+    h = se_attention(h, store, f"{prefix}.se", se_ratio)
     pad = dw_kernel // 2
     dw = ConvSpec(c, (dw_kernel, dw_kernel), (1, 1), (pad, pad), groups=c)
     h = h + apply_conv(h, store, f"{prefix}.dw", dw)
@@ -201,13 +188,6 @@ def ia_block_param_count(c, heads, head_dim, dw_kernel, se_ratio):
 
 # ---------------------------------------------------------------------------
 # plain residual block (two 3x3 convs) kept as the parameter-count baseline
-
-
-def init_basic_block(store, prefix, c, rng):
-    init_bn(store, f"{prefix}.bn1", c)
-    init_conv(store, f"{prefix}.conv1", c, c, 3, 3, rng)
-    init_bn(store, f"{prefix}.bn2", c)
-    init_conv(store, f"{prefix}.conv2", c, c, 3, 3, rng)
 
 
 def basic_block(x, store, prefix, training):

@@ -25,9 +25,19 @@ from .optim import OptimState, Schedule, adamw_step, lr_at
 
 LOG_COLUMNS = ("step", "lr", "loss_total", "loss_gd", "loss_lsce", "loss_cea", "split")
 
-_TUPLE_FIELDS = {"channels", "blocks", "modules", "input_hw", "ia_activations"}
-_INT_FIELDS = {"window", "heads", "head_dim", "dw_kernel", "se_ratio",
-               "num_classes", "ocr_dim"}
+# string-valued fields travel through the f32 checkpoint container as indices
+# into their vocabulary, under these meta keys; every other field is numeric
+# and travels as cfg_<field>
+_STRING_FIELDS = {"block_kind": ("cfg_block_kind", ("ia", "basic")),
+                  "ia_activations": ("cfg_ia_act", tuple(ACTIVATIONS))}
+
+
+def _parse_field(field, text):
+    """Config-file text -> the field's value, typed after its default."""
+    if isinstance(field.default, tuple):
+        kind = type(field.default[0])
+        return tuple(kind(part.strip()) for part in text.split(","))
+    return type(field.default)(text)
 
 
 def parse_config_file(path):
@@ -46,52 +56,35 @@ def parse_config_file(path):
 
 
 def config_from_overrides(overrides):
-    fields = {f.name for f in dataclasses.fields(NetworkConfig)}
+    fields = {f.name: f for f in dataclasses.fields(NetworkConfig)}
     kwargs = {}
     for key, value in overrides.items():
         if key not in fields:
             raise ValueError(f"unknown config key: {key}")
-        if key in _TUPLE_FIELDS:
-            parts = [p.strip() for p in value.split(",")]
-            if key == "ia_activations":
-                kwargs[key] = tuple(parts)
-            else:
-                kwargs[key] = tuple(int(p) for p in parts)
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = _parse_field(fields[key], value)
     return NetworkConfig(**kwargs)
-
-
-# numeric round trip through the f32 checkpoint container
-_CONFIG_META_KEYS = ("channels", "blocks", "modules", "window", "heads", "head_dim",
-                     "dw_kernel", "se_ratio", "num_classes", "input_hw", "ocr_dim")
 
 
 def config_to_meta(config):
     meta = {}
-    for key in _CONFIG_META_KEYS:
-        value = getattr(config, key)
-        meta[f"cfg_{key}"] = np.asarray(value, dtype=np.float64)
-    meta["cfg_block_kind"] = 0.0 if config.block_kind == "ia" else 1.0
-    acts = list(ACTIVATIONS)
-    meta["cfg_ia_act"] = np.asarray([acts.index(a) for a in config.ia_activations],
-                                    dtype=np.float64)
+    for field in dataclasses.fields(NetworkConfig):
+        value = getattr(config, field.name)
+        key, vocab = _STRING_FIELDS.get(field.name, (f"cfg_{field.name}", None))
+        if vocab is not None:
+            value = ([vocab.index(v) for v in value] if isinstance(value, tuple)
+                     else vocab.index(value))
+        meta[key] = np.asarray(value, dtype=np.float64)
     return meta
 
 
 def config_from_meta(meta):
     kwargs = {}
-    for key in _CONFIG_META_KEYS:
-        arr = meta[f"cfg_{key}"]
-        if arr.ndim == 0:
-            kwargs[key] = int(arr)
-        else:
-            kwargs[key] = tuple(int(v) for v in arr)
-    kwargs["block_kind"] = "ia" if float(meta["cfg_block_kind"]) == 0.0 else "basic"
-    acts = list(ACTIVATIONS)
-    kwargs["ia_activations"] = tuple(acts[int(i)] for i in meta["cfg_ia_act"])
+    for field in dataclasses.fields(NetworkConfig):
+        key, vocab = _STRING_FIELDS.get(field.name, (f"cfg_{field.name}", None))
+        values = [int(v) for v in np.atleast_1d(meta[key])]
+        if vocab is not None:
+            values = [vocab[v] for v in values]
+        kwargs[field.name] = tuple(values) if isinstance(field.default, tuple) else values[0]
     return NetworkConfig(**kwargs)
 
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import network
 from . import tensor as T
+from .blocks import apply_linear
 from .harness.data import SCALE_RATIOS, flip_image, scale_crop
 from .network import NetworkConfig
-from .params import ParamStore, init_linear
+from .params import ParamStore, build, record
 from .tensor import Tensor
 
 
@@ -55,10 +56,10 @@ class MoCoState:
 
 
 def init_encoder(cfg, rng, dtype=np.float32):
-    store = ParamStore(dtype=dtype)
-    network.init_funnel(store, cfg.encoder_config(), rng)
-    init_linear(store, "proj", cfg.width, cfg.proj_dim, rng)
-    return store
+    """The query encoder's parameters, recorded from `encode` on an empty batch."""
+    images = np.zeros((0, 3, *cfg.image_hw), dtype=dtype)
+    return build(record(lambda store: encode(images, store, cfg, training=False), dtype),
+                 rng, dtype)
 
 
 def encode(images, store, cfg, training):
@@ -66,8 +67,7 @@ def encode(images, store, cfg, training):
     x = images if isinstance(images, Tensor) else Tensor(images)
     feats = network.funnel_forward(x, store, cfg.encoder_config(), training)
     pooled = T.global_avg_pool(feats)
-    z = T.matmul(pooled, store["proj.weight"]) + store["proj.bias"]
-    return l2_normalize(z)
+    return l2_normalize(apply_linear(pooled, store, "proj", cfg.proj_dim))
 
 
 def l2_normalize(z, eps=1e-12):

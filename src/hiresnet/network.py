@@ -3,11 +3,13 @@ with repeated cross-scale fusion, and the coarse + refined segmentation head.
 
 Branch i lives at 1/(4*2^i) of the input resolution with channels[i] maps;
 the ladder stops at three branches, there is no fourth stage anywhere in
-the graph.
+the graph. The forward functions are the only description of the graph:
+`init_network` builds the parameters `layout(config)` recorded from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ import numpy as np
 from . import blocks
 from . import tensor as T
 from .blocks import WindowSpec, apply_bn, apply_conv
-from .params import ParamStore, init_bn, init_conv
+from .params import build, record
 from .tensor import ConvSpec, ShapeError, Tensor
 
 
@@ -73,90 +75,27 @@ class SegOutput:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization (shapes fixed entirely by the config)
+# parameters: recorded from the forward pass (see hiresnet.params)
 
 
-def init_funnel(store, config, rng, prefix="funnel"):
-    c1 = config.channels[0]
-    init_bn(store, f"{prefix}.bn1", 3)
-    init_conv(store, f"{prefix}.conv1", c1, 3, 3, 3, rng)
-    init_bn(store, f"{prefix}.bn2", c1)
-    init_conv(store, f"{prefix}.conv2", c1, c1, 3, 3, rng)
-    for k in range(config.blocks[0]):
-        blocks.init_ib_block(store, f"{prefix}.ib{k}", c1, rng)
+@functools.cache
+def layout(config, dtype=np.float32):
+    """Every tensor `network_forward` creates for `config`, in creation order.
 
-
-def _init_stage_block(store, prefix, c, config, rng):
-    if config.block_kind == "ia":
-        blocks.init_ia_block(store, prefix, c, config.heads, config.head_dim,
-                             config.dw_kernel, config.se_ratio, rng)
-    else:
-        blocks.init_basic_block(store, prefix, c, rng)
-
-
-def _init_spawn(store, prefix, c_in, c_out, rng):
-    init_bn(store, f"{prefix}.bn", c_in)
-    init_conv(store, f"{prefix}.conv", c_out, c_in, 3, 3, rng)
-
-
-def _init_fuse(store, prefix, channels, rng):
-    """Cross-scale paths between every ordered pair of the given branches."""
-    k = len(channels)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            path = f"{prefix}.{i}to{j}"
-            if i < j:  # downsample: repeated BN + stride-2 3x3
-                for s in range(j - i):
-                    init_bn(store, f"{path}.step{s}.bn", channels[i + s])
-                    init_conv(store, f"{path}.step{s}.conv",
-                              channels[i + s + 1], channels[i + s], 3, 3, rng)
-            else:      # upsample: bilinear + BN + 1x1
-                init_bn(store, f"{path}.bn", channels[i])
-                init_conv(store, f"{path}.conv", channels[j], channels[i], 1, 1, rng)
-
-
-def init_refine(store, config, rng, prefix="refine"):
-    cs = sum(config.channels)
-    d = config.context_dim
-    k = config.num_classes
-    init_conv(store, f"{prefix}.coarse", k, cs, 1, 1, rng)
-    for name in ("pixel_key", "region_key", "region_value"):
-        init_conv(store, f"{prefix}.{name}.conv", d, cs, 1, 1, rng)
-        init_bn(store, f"{prefix}.{name}.bn", d)
-    init_conv(store, f"{prefix}.refined", k, cs + d, 1, 1, rng)
+    Recorded once per (config, dtype) on an empty batch in eval mode (BN in
+    training mode would take statistics of the empty batch).
+    """
+    image = Tensor(np.zeros((0, 3, *config.input_hw), dtype=dtype))
+    return record(lambda store: network_forward(image, store, config, training=False), dtype)
 
 
 def init_network(config, rng, dtype=np.float32):
-    store = ParamStore(dtype=dtype)
-    init_funnel(store, config, rng)
-    c1, c2, c3 = config.channels
-    _, b2, b3 = config.blocks
-    m1, m2 = config.modules
-
-    _init_spawn(store, "layer1.spawn", c1, c2, rng)
-    for m in range(m1):
-        for br, c in enumerate((c1, c2)):
-            for k in range(b2):
-                _init_stage_block(store, f"layer1.mod{m}.b{br}.blk{k}", c, config, rng)
-        _init_fuse(store, f"layer1.mod{m}.fuse", (c1, c2), rng)
-
-    _init_spawn(store, "layer2.spawn", c2, c3, rng)
-    for m in range(m2):
-        for br, c in enumerate((c1, c2, c3)):
-            for k in range(b3):
-                _init_stage_block(store, f"layer2.mod{m}.b{br}.blk{k}", c, config, rng)
-        _init_fuse(store, f"layer2.mod{m}.fuse", (c1, c2, c3), rng)
-
-    init_refine(store, config, rng)
-    return store
+    return build(layout(config, dtype), rng, dtype)
 
 
 def param_count(config):
     """Learnable parameter total (BN running stats excluded)."""
-    rng = np.random.default_rng(0)  # values irrelevant to the count
-    return init_network(config, rng).count_learnable()
+    return sum(math.prod(shape) for _, shape, _, buffer in layout(config) if not buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +135,9 @@ def _apply_stage_block(x, store, prefix, config, training):
 def fuse(branches, store, prefix, channels, training):
     """Bring every branch to every resolution and sum the aligned maps."""
     k = len(branches)
-    if k == 1:
-        return list(branches)
-    outs = []
-    for j in range(k):
-        acc = branches[j]  # own-resolution branch passes through unchanged
-        for i in range(k):
+    outs = list(branches)  # own-resolution branch passes through unchanged
+    for i in range(k):  # paths in {i}to{j} order, the order their tensors are created in
+        for j in range(k):
             if i == j:
                 continue
             path = f"{prefix}.{i}to{j}"
@@ -215,8 +151,7 @@ def fuse(branches, store, prefix, channels, training):
                 x = T.bilinear_upsample(x, 2 ** (i - j))
                 x = apply_bn(x, store, f"{path}.bn", training)
                 x = apply_conv(x, store, f"{path}.conv", ConvSpec(channels[j], (1, 1)))
-            acc = acc + x
-        outs.append(acc)
+            outs[j] = outs[j] + x  # each outs[j] still sums over ascending i
     return outs
 
 
@@ -247,8 +182,7 @@ def multi_branch_forward(x, store, config, training):
     return branches
 
 
-def _embed(x, store, name, training):
-    d = store[f"{name}.conv.weight"].shape[0]
+def _embed(x, store, name, d, training):
     h = apply_conv(x, store, f"{name}.conv", ConvSpec(d, (1, 1)))
     h = apply_bn(h, store, f"{name}.bn", training)
     return T.gelu(h)
@@ -281,9 +215,9 @@ def refine(branches, store, config, training, prefix="refine"):
     regions = T.matmul(region_weights, T.transpose(feat_flat, (0, 2, 1)))  # [N, K, Cs]
     regions = T.reshape(T.transpose(regions, (0, 2, 1)), (n, cs, k, 1))
 
-    pixel_key = _embed(feat, store, f"{prefix}.pixel_key", training)        # [N, d, Hq, Wq]
-    region_key = _embed(regions, store, f"{prefix}.region_key", training)   # [N, d, K, 1]
-    region_value = _embed(regions, store, f"{prefix}.region_value", training)
+    pixel_key = _embed(feat, store, f"{prefix}.pixel_key", d, training)        # [N, d, Hq, Wq]
+    region_key = _embed(regions, store, f"{prefix}.region_key", d, training)   # [N, d, K, 1]
+    region_value = _embed(regions, store, f"{prefix}.region_value", d, training)
 
     pk = T.transpose(T.reshape(pixel_key, (n, d, p)), (0, 2, 1))            # [N, P, d]
     rk = T.reshape(region_key, (n, d, k))

@@ -1,8 +1,17 @@
-"""Named parameter storage.
+"""Named parameter storage, created by the forward pass.
 
 Every learnable tensor and every buffer (BN running statistics) lives in one
-flat store keyed by a hierarchical dotted name; shapes are fully determined
-by the network configuration, never inferred from data.
+flat store keyed by a hierarchical dotted name. There is no init tree beside
+the forward functions: each layer asks for its tensors with
+`store.get(name, shape, init)` at the point of use, so the forward pass is
+the one place that writes down every name, shape and initializer.
+
+`record(forward, dtype)` runs `forward(store)` on a store that logs each
+name it has not seen as a (name, shape, init, buffer) entry, in call order,
+and allocates it as zeros. `build(layout, rng, dtype)` then draws every
+entry from `rng` in that order. Outside a record pass a missing name raises
+KeyError. Shapes are fully determined by the configuration, so a record pass
+on an empty batch (N = 0) finds them all without computing on any data.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self._params: dict[str, Tensor] = {}
         self._buffers: dict[str, Tensor] = {}
+        self._layout = None  # the entries logged so far, during a record pass
 
     def add_param(self, name, array):
         if name in self._params or name in self._buffers:
@@ -29,6 +39,23 @@ class ParamStore:
         if name in self._params or name in self._buffers:
             raise KeyError(f"duplicate buffer name: {name}")
         self._buffers[name] = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=False)
+
+    def get(self, name, shape, init, buffer=False) -> Tensor:
+        """The tensor stored under `name`. During a record pass a missing
+        name is logged with its shape and `init(rng, shape, dtype)`."""
+        t = self._params.get(name)
+        if t is None:
+            t = self._buffers.get(name)
+            if t is None:
+                t = self._create(name, tuple(shape), init, buffer)
+        return t
+
+    def _create(self, name, shape, init, buffer):
+        if self._layout is None:
+            raise KeyError(f"unknown tensor: {name}")
+        self._layout.append((name, shape, init, buffer))
+        (self.add_buffer if buffer else self.add_param)(name, np.zeros(shape, self.dtype))
+        return self[name]
 
     def __getitem__(self, name) -> Tensor:
         if name in self._params:
@@ -69,26 +96,44 @@ class ParamStore:
         return out
 
 
+def record(forward, dtype=DEFAULT_DTYPE):
+    """The (name, shape, init, buffer) entries `forward(store)` creates, in order."""
+    store = ParamStore(dtype)
+    store._layout = []
+    forward(store)
+    return tuple(store._layout)
+
+
+def build(layout, rng, dtype=DEFAULT_DTYPE):
+    """A store holding every layout entry, drawn from `rng` in layout order."""
+    store = ParamStore(dtype)
+    for name, shape, init, buffer in layout:
+        (store.add_buffer if buffer else store.add_param)(name, init(rng, shape, store.dtype))
+    return store
+
+
+# ---------------------------------------------------------------------------
+# initializers: init(rng, shape, dtype) -> array
+
+
+def zeros(rng, shape, dtype):
+    return np.zeros(shape, dtype)
+
+
+def ones(rng, shape, dtype):
+    return np.ones(shape, dtype)
+
+
 def fan_in_uniform(rng, shape, fan_in, dtype):
     limit = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def init_conv(store, name, out_c, in_c_per_group, kh, kw, rng, bias=True):
-    fan_in = in_c_per_group * kh * kw
-    store.add_param(f"{name}.weight",
-                    fan_in_uniform(rng, (out_c, in_c_per_group, kh, kw), fan_in, store.dtype))
-    if bias:
-        store.add_param(f"{name}.bias", np.zeros(out_c))
+def conv_uniform(rng, shape, dtype):
+    """U(±1/√fan_in) for a [out, in/groups, kh, kw] kernel."""
+    return fan_in_uniform(rng, shape, math.prod(shape[1:]), dtype)
 
 
-def init_linear(store, name, in_f, out_f, rng):
-    store.add_param(f"{name}.weight", fan_in_uniform(rng, (in_f, out_f), in_f, store.dtype))
-    store.add_param(f"{name}.bias", np.zeros(out_f))
-
-
-def init_bn(store, name, c):
-    store.add_param(f"{name}.gamma", np.ones(c))
-    store.add_param(f"{name}.beta", np.zeros(c))
-    store.add_buffer(f"{name}.running_mean", np.zeros(c))
-    store.add_buffer(f"{name}.running_var", np.ones(c))
+def linear_uniform(rng, shape, dtype):
+    """U(±1/√fan_in) for an [in, out] weight."""
+    return fan_in_uniform(rng, shape, shape[0], dtype)

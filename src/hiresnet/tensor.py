@@ -418,7 +418,7 @@ def silu(a):
 
 def gelu(a):
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # numpy has no fast power for 3
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 

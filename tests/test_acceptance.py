@@ -21,13 +21,23 @@ from hiresnet.harness.data import SynthSpec, synth_dataset
 from hiresnet.harness.loop import evaluate_store, train
 from hiresnet.losses import LossConfig
 from hiresnet.network import NetworkConfig
-from hiresnet.params import ParamStore
+from hiresnet.params import build, record
 from hiresnet.tensor import ConvSpec, Tensor
 
 MICRO = NetworkConfig(channels=(2, 4, 8), blocks=(1, 1, 1), modules=(1, 1),
                       window=2, heads=2, head_dim=2, num_classes=2,
                       input_hw=(32, 32), se_ratio=2, dw_kernel=3)
 DESK = NetworkConfig()
+
+
+def make_store(forward, rng, dtype=np.float64):
+    """The parameters `forward(store)` creates, drawn from `rng`."""
+    return build(record(forward, dtype), rng, dtype)
+
+
+def empty(c, h=4, w=4):
+    """An N = 0 batch: it carries the shapes a record pass needs."""
+    return Tensor(np.zeros((0, c, h, w)))
 
 
 def report(criterion, detail):
@@ -96,34 +106,31 @@ def test_criterion_01_gradient_suite():
     # blocks at 1e-3 (IB, SE, WMHSA, IA, fusion, refine head)
     worst_block = 0.0
     for _ in range(10):
-        store = ParamStore(dtype=np.float64)
-        blocks.init_ib_block(store, "b", 3, rng)
+        store = make_store(lambda s: blocks.ib_block(empty(3), s, "b", False), rng)
         tgt = Tensor(rng.normal(size=(1, 3, 4, 4)))
         err = check_store_gradients(
             lambda ts: T.tsum(blocks.ib_block(ts[0], store, "b", True) * tgt),
             store, [rng.normal(size=(1, 3, 4, 4))], rng, max_coords=2)
         worst_block = max(worst_block, err)
 
-        store = ParamStore(dtype=np.float64)
-        blocks.init_se(store, "s", 4, 2, rng)
+        store = make_store(lambda s: blocks.se_attention(empty(4), s, "s", 2), rng)
         err = max(err, check_store_gradients(
-            lambda ts: T.tsum(blocks.se_attention(ts[0], store, "s") ** 2.0),
+            lambda ts: T.tsum(blocks.se_attention(ts[0], store, "s", 2) ** 2.0),
             store, [rng.normal(size=(1, 4, 2, 2))], rng, max_coords=2))
 
-        store = ParamStore(dtype=np.float64)
-        blocks.init_wmhsa(store, "w", 2, 2, rng)
+        store = make_store(lambda s: blocks.wmhsa(empty(2), s, "w", WindowSpec(2, 2, 2)), rng)
         err = max(err, check_store_gradients(
             lambda ts: T.tsum(blocks.wmhsa(ts[0], store, "w", WindowSpec(2, 2, 2)) ** 2.0),
             store, [rng.normal(size=(1, 2, 4, 4))], rng, max_coords=2))
 
-        store = ParamStore(dtype=np.float64)
-        blocks.init_ia_block(store, "a", 4, 2, 2, 3, 2, rng)
+        store = make_store(
+            lambda s: blocks.ia_block(empty(4), s, "a", WindowSpec(2, 2, 2), 3, 2), rng)
         err = max(err, check_store_gradients(
             lambda ts: T.tsum(blocks.ia_block(ts[0], store, "a", WindowSpec(2, 2, 2), 3, 2) ** 2.0),
             store, [rng.normal(size=(1, 4, 4, 4))], rng, max_coords=2))
 
-        store = ParamStore(dtype=np.float64)
-        network._init_fuse(store, "f", (2, 4), rng)
+        store = make_store(
+            lambda s: network.fuse([empty(2), empty(4, 2, 2)], s, "f", (2, 4), False), rng)
         err = max(err, check_store_gradients(
             lambda ts: T.tsum(network.fuse(list(ts), store, "f", (2, 4), True)[0] ** 2.0)
             + T.tsum(network.fuse(list(ts), store, "f", (2, 4), True)[1] ** 2.0),
@@ -135,9 +142,9 @@ def test_criterion_01_gradient_suite():
     # refine head and the three losses
     worst_head = 0.0
     for _ in range(10):
-        store = ParamStore(dtype=np.float64)
-        network.init_refine(store, MICRO, rng)
         shapes = [(1, 2, 8, 8), (1, 4, 4, 4), (1, 8, 2, 2)]
+        empties = [Tensor(np.zeros((0,) + sh[1:])) for sh in shapes]
+        store = make_store(lambda s: network.refine(empties, s, MICRO, False), rng)
 
         def refine_loss(ts):
             out = network.refine(list(ts), store, MICRO, training=True)
@@ -294,9 +301,10 @@ def test_criterion_06_parameter_direction():
     # and per block at matched widths
     for c in (32, 48, 64):
         rng = np.random.default_rng(0)
-        s_ia, s_basic = ParamStore(), ParamStore()
-        blocks.init_ia_block(s_ia, "b", c, 2, 8, 5, 4, rng)
-        blocks.init_basic_block(s_basic, "b", c, rng)
+        s_ia = make_store(lambda s: blocks.ia_block(empty(c), s, "b", WindowSpec(4, 2, 8), 5, 4),
+                          rng, np.float32)
+        s_basic = make_store(lambda s: blocks.basic_block(empty(c), s, "b", False), rng,
+                             np.float32)
         assert s_ia.count_learnable() < s_basic.count_learnable()
     report(6, f"IA network {ia} params < basic network {basic} params")
 

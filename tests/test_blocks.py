@@ -10,11 +10,17 @@ import hiresnet.tensor as T
 from hiresnet import blocks
 from hiresnet.blocks import WindowSpec
 from hiresnet.gradcheck import check_store_gradients
-from hiresnet.params import ParamStore
+from hiresnet.params import build, record
 
 
-def make_store():
-    return ParamStore(dtype=np.float64)
+def make_store(forward, rng, dtype=np.float64):
+    """The parameters `forward(store)` creates, drawn from `rng`."""
+    return build(record(forward, dtype), rng, dtype)
+
+
+def empty(c, h=4, w=4):
+    """An N = 0 batch: it carries the shapes a record pass needs."""
+    return T.Tensor(np.zeros((0, c, h, w)))
 
 
 def zero_params(store, keys):
@@ -29,8 +35,7 @@ def zero_params(store, keys):
 
 def test_ib_block_zeroed_is_identity():
     rng = np.random.default_rng(0)
-    store = make_store()
-    blocks.init_ib_block(store, "ib", 4, rng)
+    store = make_store(lambda s: blocks.ib_block(empty(4), s, "ib", False), rng)
     zero_params(store, ("conv",))
     x = T.Tensor(rng.normal(size=(2, 4, 6, 6)))
     # eval mode with the fresh (0, 1) running stats bypasses batch statistics
@@ -41,8 +46,7 @@ def test_ib_block_zeroed_is_identity():
 @pytest.mark.parametrize("shape", [(1, 4, 6, 6), (3, 8, 4, 4)])
 def test_ib_block_preserves_shape(shape):
     rng = np.random.default_rng(1)
-    store = make_store()
-    blocks.init_ib_block(store, "ib", shape[1], rng)
+    store = make_store(lambda s: blocks.ib_block(empty(shape[1]), s, "ib", False), rng)
     x = T.Tensor(rng.normal(size=shape))
     assert blocks.ib_block(x, store, "ib", training=True).shape == shape
 
@@ -50,8 +54,7 @@ def test_ib_block_preserves_shape(shape):
 def test_ib_block_gradients_vs_fd():
     rng = np.random.default_rng(2)
     for _ in range(3):
-        store = make_store()
-        blocks.init_ib_block(store, "ib", 3, rng)
+        store = make_store(lambda s: blocks.ib_block(empty(3), s, "ib", False), rng)
         x = rng.normal(size=(1, 3, 4, 4))
         tgt = T.Tensor(rng.normal(size=(1, 3, 4, 4)))
         err = check_store_gradients(
@@ -66,39 +69,35 @@ def test_ib_block_gradients_vs_fd():
 
 def test_se_saturated_gate_is_identity():
     rng = np.random.default_rng(3)
-    store = make_store()
-    blocks.init_se(store, "se", 4, 2, rng)
+    store = make_store(lambda s: blocks.se_attention(empty(4), s, "se", 2), rng)
     zero_params(store, ("fc",))
     store["se.fc2.bias"].data[...] = 50.0  # sigmoid saturates to 1
     x = T.Tensor(rng.normal(size=(2, 4, 3, 3)))
-    out = blocks.se_attention(x, store, "se")
+    out = blocks.se_attention(x, store, "se", 2)
     np.testing.assert_allclose(out.data, x.data, atol=1e-9)
 
 
 def test_se_half_gate_scales_by_half():
     rng = np.random.default_rng(4)
-    store = make_store()
-    blocks.init_se(store, "se", 4, 2, rng)
+    store = make_store(lambda s: blocks.se_attention(empty(4), s, "se", 2), rng)
     zero_params(store, ("fc",))  # zero logits -> sigmoid gate is exactly 0.5
     x = T.Tensor(rng.normal(size=(1, 4, 2, 2)))
-    out = blocks.se_attention(x, store, "se")
+    out = blocks.se_attention(x, store, "se", 2)
     np.testing.assert_allclose(out.data, 0.5 * x.data, atol=1e-12)
 
 
 def test_se_requires_divisible_ratio():
-    store = make_store()
     with pytest.raises(T.ShapeError):
-        blocks.init_se(store, "se", 6, 4, np.random.default_rng(0))
+        make_store(lambda s: blocks.se_attention(empty(6), s, "se", 4), np.random.default_rng(0))
 
 
 def test_se_gradients_vs_fd():
     rng = np.random.default_rng(5)
     for _ in range(3):
-        store = make_store()
-        blocks.init_se(store, "se", 4, 2, rng)
+        store = make_store(lambda s: blocks.se_attention(empty(4), s, "se", 2), rng)
         x = rng.normal(size=(1, 4, 2, 2))
         err = check_store_gradients(
-            lambda ts: T.tsum(blocks.se_attention(ts[0], store, "se") ** 2.0),
+            lambda ts: T.tsum(blocks.se_attention(ts[0], store, "se", 2) ** 2.0),
             store, [x], rng)
         assert err < 1e-4
 
@@ -127,8 +126,7 @@ def test_window_partition_batched_round_trip():
 
 def test_wmhsa_zero_value_and_out_proj_is_identity():
     rng = np.random.default_rng(8)
-    store = make_store()
-    blocks.init_wmhsa(store, "attn", heads=2, head_dim=3, rng=rng)
+    store = make_store(lambda s: blocks.wmhsa(empty(2), s, "attn", WindowSpec(2, 2, 3)), rng)
     store["attn.v.weight"].data[...] = 0.0
     store["attn.out.weight"].data[...] = 0.0
     x = T.Tensor(rng.normal(size=(1, 2, 4, 4)))
@@ -138,8 +136,7 @@ def test_wmhsa_zero_value_and_out_proj_is_identity():
 
 def test_wmhsa_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
-    store = make_store()
-    blocks.init_wmhsa(store, "attn", heads=2, head_dim=4, rng=rng)
+    store = make_store(lambda s: blocks.wmhsa(empty(3), s, "attn", WindowSpec(4, 2, 4)), rng)
     x = T.Tensor(rng.normal(size=(2, 3, 8, 8)) * 3.0)
     _, attn = blocks.wmhsa(x, store, "attn", WindowSpec(4, 2, 4), return_attn=True)
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -148,8 +145,7 @@ def test_wmhsa_attention_rows_sum_to_one():
 def test_wmhsa_constant_window_gives_constant_output():
     # identical tokens: attention is uniform by symmetry, output constant
     rng = np.random.default_rng(10)
-    store = make_store()
-    blocks.init_wmhsa(store, "attn", heads=2, head_dim=4, rng=rng)
+    store = make_store(lambda s: blocks.wmhsa(empty(1), s, "attn", WindowSpec(4, 2, 4)), rng)
     x = T.Tensor(np.full((1, 1, 4, 4), 0.7))
     out = blocks.wmhsa(x, store, "attn", WindowSpec(4, 2, 4))
     np.testing.assert_allclose(out.data, out.data.reshape(-1)[0], rtol=1e-10)
@@ -157,8 +153,7 @@ def test_wmhsa_constant_window_gives_constant_output():
 
 def test_wmhsa_rejects_indivisible_window():
     rng = np.random.default_rng(11)
-    store = make_store()
-    blocks.init_wmhsa(store, "attn", heads=1, head_dim=2, rng=rng)
+    store = make_store(lambda s: blocks.wmhsa(empty(1), s, "attn", WindowSpec(2, 1, 2)), rng)
     x = T.Tensor(np.zeros((1, 1, 5, 4)))
     with pytest.raises(T.ShapeError):
         blocks.wmhsa(x, store, "attn", WindowSpec(2, 1, 2))
@@ -167,8 +162,7 @@ def test_wmhsa_rejects_indivisible_window():
 def test_wmhsa_gradients_vs_fd():
     rng = np.random.default_rng(12)
     for _ in range(3):
-        store = make_store()
-        blocks.init_wmhsa(store, "attn", heads=2, head_dim=2, rng=rng)
+        store = make_store(lambda s: blocks.wmhsa(empty(2), s, "attn", WindowSpec(2, 2, 2)), rng)
         x = rng.normal(size=(1, 2, 4, 4))
         err = check_store_gradients(
             lambda ts: T.tsum(blocks.wmhsa(ts[0], store, "attn", WindowSpec(2, 2, 2)) ** 2.0),
@@ -203,8 +197,8 @@ def lifted_wmhsa(x, store, prefix, spec, k_bias=None):
 
 
 def random_wmhsa_store(rng, heads, head_dim, dtype):
-    store = ParamStore(dtype=dtype)
-    blocks.init_wmhsa(store, "attn", heads, head_dim, rng)
+    spec = WindowSpec(1, heads, head_dim)
+    store = make_store(lambda s: blocks.wmhsa(empty(1, 1, 1), s, "attn", spec), rng, dtype)
     for _, t in store.params():  # non-zero biases, weights of order one
         t.data[...] = rng.normal(size=t.data.shape)
     return store
@@ -298,9 +292,8 @@ def test_wmhsa_zero_query_gives_uniform_attention():
 
 
 def ia_store(rng, c=4, heads=2, head_dim=2, dw_kernel=3, se_ratio=2):
-    store = make_store()
-    blocks.init_ia_block(store, "ia", c, heads, head_dim, dw_kernel, se_ratio, rng)
-    return store
+    spec = WindowSpec(1, heads, head_dim)
+    return make_store(lambda s: blocks.ia_block(empty(c), s, "ia", spec, dw_kernel, se_ratio), rng)
 
 
 def test_ia_block_zeroed_projection_is_identity():
@@ -315,8 +308,7 @@ def test_ia_block_zeroed_projection_is_identity():
 @pytest.mark.parametrize("c,hw", [(4, 8), (8, 8), (4, 16), (8, 16)])
 def test_ia_block_shape_contract(c, hw):
     rng = np.random.default_rng(14)
-    store = make_store()
-    blocks.init_ia_block(store, "ia", c, 2, 2, 5, 2, rng)
+    store = make_store(lambda s: blocks.ia_block(empty(c), s, "ia", WindowSpec(4, 2, 2), 5, 2), rng)
     x = T.Tensor(rng.normal(size=(2, c, hw, hw)))
     out = blocks.ia_block(x, store, "ia", WindowSpec(4, 2, 2), 5, 2)
     assert out.shape == (2, c, hw, hw)
@@ -324,8 +316,7 @@ def test_ia_block_shape_contract(c, hw):
 
 def test_ia_block_parameter_count_closed_form():
     rng = np.random.default_rng(15)
-    store = make_store()
-    blocks.init_ia_block(store, "ia", 48, 2, 8, 5, 4, rng)
+    store = make_store(lambda s: blocks.ia_block(empty(48), s, "ia", WindowSpec(4, 2, 8), 5, 4), rng)
     expected = blocks.ia_block_param_count(48, 2, 8, 5, 4)
     assert store.count_learnable() == expected
 
@@ -334,10 +325,8 @@ def test_ia_block_fewer_params_than_basic_block():
     # directional check at equal widths; holds from small widths upward
     rng = np.random.default_rng(16)
     for c in (32, 48, 64):
-        ia = make_store()
-        blocks.init_ia_block(ia, "b", c, 2, 8, 5, 4, rng)
-        basic = make_store()
-        blocks.init_basic_block(basic, "b", c, rng)
+        ia = make_store(lambda s: blocks.ia_block(empty(c), s, "b", WindowSpec(4, 2, 8), 5, 4), rng)
+        basic = make_store(lambda s: blocks.basic_block(empty(c), s, "b", False), rng)
         assert ia.count_learnable() < basic.count_learnable()
 
 
@@ -354,8 +343,8 @@ def test_ia_block_gradients_vs_fd():
 
 def test_ia_block_no_dead_parameters():
     rng = np.random.default_rng(18)
-    store = ParamStore(dtype=np.float32)
-    blocks.init_ia_block(store, "ia", 4, 2, 2, 3, 2, rng)
+    store = make_store(lambda s: blocks.ia_block(empty(4), s, "ia", WindowSpec(2, 2, 2), 3, 2),
+                       rng, np.float32)
     x = T.Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
     store.zero_grads()
     with T.Tape():
@@ -373,8 +362,7 @@ def test_ia_block_no_dead_parameters():
 
 def test_basic_block_zeroed_is_identity():
     rng = np.random.default_rng(19)
-    store = make_store()
-    blocks.init_basic_block(store, "b", 4, rng)
+    store = make_store(lambda s: blocks.basic_block(empty(4), s, "b", False), rng)
     zero_params(store, ("conv",))
     x = T.Tensor(rng.normal(size=(1, 4, 4, 4)))
     out = blocks.basic_block(x, store, "b", training=False)

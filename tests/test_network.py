@@ -6,9 +6,10 @@ import pytest
 
 import hiresnet.tensor as T
 from hiresnet import network
+from hiresnet.blocks import apply_linear
 from hiresnet.gradcheck import check_store_gradients
 from hiresnet.network import NetworkConfig
-from hiresnet.params import ParamStore
+from hiresnet.params import ParamStore, build, record
 
 
 DESK = NetworkConfig()
@@ -18,6 +19,22 @@ TINY = NetworkConfig(channels=(4, 8, 16), blocks=(1, 1, 1), modules=(1, 1),
 
 def init(config, seed=0, dtype=np.float32):
     return network.init_network(config, np.random.default_rng(seed), dtype=dtype)
+
+
+def make_store(forward, rng, dtype=np.float32):
+    """The parameters `forward(store)` creates, drawn from `rng`."""
+    return build(record(forward, dtype), rng, dtype)
+
+
+def empty(c, h=4, w=4):
+    """An N = 0 batch: it carries the shapes a record pass needs."""
+    return T.Tensor(np.zeros((0, c, h, w)))
+
+
+def fuse_store(rng, channels, dtype=np.float32):
+    xs = [empty(c, 2 ** (len(channels) - i), 2 ** (len(channels) - i))
+          for i, c in enumerate(channels)]
+    return make_store(lambda s: network.fuse(xs, s, "f", channels, False), rng, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +91,20 @@ def test_funnel_gradient_reaches_first_conv():
 
 
 def test_new_branch_halves_and_doubles():
-    store = ParamStore()
-    network._init_spawn(store, "s", 8, 16, np.random.default_rng(0))
+    store = make_store(lambda s: network.new_branch(empty(8), s, "s", 16, False),
+                       np.random.default_rng(0))
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 8, 16, 16)).astype(np.float32))
     out = network.new_branch(x, store, "s", 16, training=False)
     assert out.shape == (1, 16, 8, 8)
 
 
 def test_new_branch_twice_reaches_sixteenth():
-    store = ParamStore()
     rng = np.random.default_rng(2)
-    network._init_spawn(store, "a", 8, 16, rng)
-    network._init_spawn(store, "b", 16, 32, rng)
+
+    def spawn_twice(s):
+        network.new_branch(network.new_branch(empty(8), s, "a", 16, False), s, "b", 32, False)
+
+    store = make_store(spawn_twice, rng)
     x = T.Tensor(np.zeros((1, 8, 16, 16), dtype=np.float32))
     out = network.new_branch(x, store, "a", 16, training=False)
     out = network.new_branch(out, store, "b", 32, training=False)
@@ -93,8 +112,8 @@ def test_new_branch_twice_reaches_sixteenth():
 
 
 def test_new_branch_rejects_odd_dims():
-    store = ParamStore()
-    network._init_spawn(store, "s", 4, 8, np.random.default_rng(0))
+    store = make_store(lambda s: network.new_branch(empty(4), s, "s", 8, False),
+                       np.random.default_rng(0))
     with pytest.raises(T.ShapeError):
         network.new_branch(T.Tensor(np.zeros((1, 4, 5, 5), dtype=np.float32)),
                            store, "s", 8, training=False)
@@ -102,8 +121,7 @@ def test_new_branch_rejects_odd_dims():
 
 def test_new_branch_gradcheck():
     rng = np.random.default_rng(3)
-    store = ParamStore(dtype=np.float64)
-    network._init_spawn(store, "s", 4, 8, rng)
+    store = make_store(lambda s: network.new_branch(empty(4), s, "s", 8, False), rng, np.float64)
     x = rng.normal(size=(1, 4, 6, 6))
     err = check_store_gradients(
         lambda ts: T.tsum(network.new_branch(ts[0], store, "s", 8, training=True) ** 2.0),
@@ -120,8 +138,7 @@ def test_fuse_single_branch_is_identity():
 
 def test_fuse_zero_cross_terms_pass_through():
     rng = np.random.default_rng(4)
-    store = ParamStore()
-    network._init_fuse(store, "f", (4, 8, 16), rng)
+    store = fuse_store(rng, (4, 8, 16))
     for name, t in store.params():
         if "conv" in name:
             t.data[...] = 0.0
@@ -135,8 +152,7 @@ def test_fuse_zero_cross_terms_pass_through():
 
 def test_fuse_three_branches_preserve_shapes():
     rng = np.random.default_rng(5)
-    store = ParamStore()
-    network._init_fuse(store, "f", (4, 8, 16), rng)
+    store = fuse_store(rng, (4, 8, 16))
     xs = [T.Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32)),
           T.Tensor(rng.normal(size=(2, 8, 4, 4)).astype(np.float32)),
           T.Tensor(rng.normal(size=(2, 16, 2, 2)).astype(np.float32))]
@@ -146,8 +162,7 @@ def test_fuse_three_branches_preserve_shapes():
 
 def test_fuse_gradcheck():
     rng = np.random.default_rng(6)
-    store = ParamStore(dtype=np.float64)
-    network._init_fuse(store, "f", (2, 4), rng)
+    store = fuse_store(rng, (2, 4), np.float64)
     xs = [rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 4, 2, 2))]
 
     def build(ts):
@@ -311,9 +326,8 @@ def test_outputs_finite():
 
 
 def test_param_count_linear_layer_example():
-    store = ParamStore()
-    from hiresnet.params import init_linear
-    init_linear(store, "fc", 4, 2, np.random.default_rng(0))
+    store = make_store(lambda s: apply_linear(T.Tensor(np.zeros((0, 4))), s, "fc", 2),
+                       np.random.default_rng(0))
     assert store.count_learnable() == 10
 
 
