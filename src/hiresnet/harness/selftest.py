@@ -36,6 +36,13 @@ def _grad_suite(rng):
     tok, per_head = rng.normal(size=(3, 9)), [rng.normal(size=(2,)) for _ in range(3)]
     worst = max(worst, check_gradients(
         lambda ts: T.tsum(T.scalar_token_attention(*ts) ** 2.0), [tok, *per_head], rng))
+    dw = ConvSpec(2, (5, 5), padding=(2, 2), groups=2)  # the IA blocks' depth-wise conv
+    x, w = rng.normal(size=(1, 2, 5, 5)), rng.normal(size=(2, 1, 5, 5))
+    worst = max(worst, check_gradients(
+        lambda ts: T.tsum(T.conv2d(ts[0], ts[1], None, dw) ** 2.0), [x, w], rng))
+    up = rng.normal(size=(1, 2, 3, 4))
+    worst = max(worst, check_gradients(
+        lambda ts: T.tsum(T.bilinear_upsample(ts[0], 2) ** 2.0), [up], rng))
     return worst < 1e-4, f"max rel err {worst:.2e}"
 
 

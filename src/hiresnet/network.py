@@ -45,6 +45,10 @@ class NetworkConfig:
             raise ValueError("need at least 2 classes")
         if self.block_kind not in ("ia", "basic"):
             raise ValueError(f"unknown block kind {self.block_kind!r}")
+        acts = self.ia_activations
+        if len(acts) != 2 or not set(acts) <= blocks.ACTIVATIONS.keys():
+            raise ValueError(f"ia_activations must be two of {', '.join(blocks.ACTIVATIONS)}, "
+                             f"got {acts!r}")
         h, w = self.input_hw
         if self.block_kind == "ia" and (h % (16 * self.window) or w % (16 * self.window)):
             raise ValueError(

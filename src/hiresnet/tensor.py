@@ -633,7 +633,10 @@ def slice_axis(a, axis, start, stop):
 
 
 # ---------------------------------------------------------------------------
-# convolution (patch extraction + one einsum contraction)
+# convolution: a patch matrix [N, groups, cg·kh·kw, Ho·Wo] of the kh·kw strided
+# tap views of the padded input meets the weight in one batched matmul, for
+# every ConvSpec. The backward rebuilds the patch matrix for grad_w rather than
+# keep it on the tape, and adds grad_x back with one slice-add per tap.
 
 
 @dataclass(frozen=True)
@@ -666,37 +669,31 @@ def conv2d(x, weight, bias, spec):
     # floor semantics: trailing rows/cols that do not fill a window are dropped
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
-
+    k = c // groups * kh * kw
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]            # [N, C, Ho, Wo, kh, kw]
-    cg = c // groups
-    og = oc // groups
-    wing = win.reshape(n, groups, cg, ho, wo, kh, kw)
-    wg = weight.data.reshape(groups, og, cg, kh, kw)
-    out = np.einsum("ngchwij,gocij->ngohw", wing, wg, optimize=True)
-    out = np.ascontiguousarray(out.reshape(n, oc, ho, wo))
-    if bias is not None:
+    wg = weight.data.reshape(groups, oc // groups, k)
+    taps = [(slice(None), slice(None), slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw))
+            for i in range(kh) for j in range(kw)]
+
+    def patches():
+        return np.stack([xp[t] for t in taps], axis=2).reshape(n, groups, k, ho * wo)
+
+    out = (wg @ patches()).reshape(n, oc, ho, wo)
+    has_bias = bias is not None
+    if has_bias:
         out = out + bias.data.reshape(1, oc, 1, 1)
 
     def bwd(g):
-        gg = g.reshape(n, groups, og, ho, wo)
-        grad_w = np.einsum("ngohw,ngchwij->gocij", gg, wing, optimize=True)
-        grad_w = grad_w.reshape(oc, cg, kh, kw)
-        grad_b = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        grad_win = np.einsum("ngohw,gocij->ngchwij", gg, wg, optimize=True)
-        grad_win = grad_win.reshape(n, c, ho, wo, kh, kw)
-        gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += grad_win[:, :, :, :, i, j]
-        gx = gxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else gxp
-        if bias is not None:
-            return gx, grad_w, grad_b
-        return gx, grad_w
+        gg = g.reshape(n, groups, oc // groups, ho * wo)
+        grad_w = (gg @ np.swapaxes(patches(), 2, 3)).sum(axis=0).reshape(oc, -1, kh, kw)
+        gcols = (np.swapaxes(wg, 1, 2) @ gg).reshape(n, c, kh * kw, ho, wo)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        for ti, t in enumerate(taps):
+            gxp[t] += gcols[:, :, ti]
+        gx = gxp[:, :, ph:ph + h, pw:pw + w]
+        return (gx, grad_w, g.sum(axis=(0, 2, 3))) if has_bias else (gx, grad_w)
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(out, inputs, bwd)
+    return _record(out, (x, weight, bias) if has_bias else (x, weight), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -747,45 +744,34 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, m
 # resampling / pooling
 
 
-def _bilinear_indices(out_len, in_len, scale):
-    # half-pixel (align_corners=False) source coordinates
-    src = (np.arange(out_len) + 0.5) / scale - 0.5
+def bilinear_matrix(n_in, n_out):
+    """[n_out, n_in] half-pixel (align_corners=False) interpolation weights:
+    row i blends the two samples around (i + 0.5) n_in / n_out - 0.5, each
+    index clamped to [0, n_in - 1], so a border row repeats its edge sample."""
+    rows = np.arange(n_out)
+    src = (rows + 0.5) / (n_out / n_in) - 0.5
     lo = np.floor(src).astype(np.int64)
     frac = src - lo
-    lo_c = np.clip(lo, 0, in_len - 1)
-    hi_c = np.clip(lo + 1, 0, in_len - 1)
-    return lo_c, hi_c, frac
+    a = np.zeros((n_out, n_in))
+    a[rows, np.clip(lo, 0, n_in - 1)] = 1.0 - frac
+    a[rows, np.clip(lo + 1, 0, n_in - 1)] += frac
+    return a
 
 
 def bilinear_upsample(x, scale):
+    """Separable half-pixel upsampling, A_h · x · A_wᵀ per (n, c) map."""
     scale = int(scale)
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
-    if scale == 1:
-        return _record(x.data.copy(), (x,), lambda g: (g,))
     n, c, h, w = x.data.shape
-    oh, ow = h * scale, w * scale
-    y0, y1, fy = _bilinear_indices(oh, h, scale)
-    x0, x1, fx = _bilinear_indices(ow, w, scale)
-    fy = fy.reshape(-1, 1).astype(x.data.dtype)
-    fx = fx.reshape(1, -1).astype(x.data.dtype)
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    d = x.data
-    out = (w00 * d[:, :, y0[:, None], x0[None, :]]
-           + w01 * d[:, :, y0[:, None], x1[None, :]]
-           + w10 * d[:, :, y1[:, None], x0[None, :]]
-           + w11 * d[:, :, y1[:, None], x1[None, :]])
+    a_h = bilinear_matrix(h, h * scale).astype(x.data.dtype)
+    a_w = bilinear_matrix(w, w * scale).astype(x.data.dtype)
+    out = a_h @ x.data @ a_w.T
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for wgt, yi, xi in ((w00, y0, x0), (w01, y0, x1), (w10, y1, x0), (w11, y1, x1)):
-            np.add.at(gx, (slice(None), slice(None), yi[:, None], xi[None, :]), g * wgt)
-        return (gx,)
+        return (a_h.T @ g @ a_w,)
 
-    return _record(np.ascontiguousarray(out), (x,), bwd)
+    return _record(out, (x,), bwd)
 
 
 def global_avg_pool(x):

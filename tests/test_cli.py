@@ -57,6 +57,18 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("acts", ["gelu,swish", "gelu,silu,relu"])
+def test_bad_ia_activations_is_usage_error(tmp_path, capsys, acts):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_CONFIG + f"ia_activations = {acts}\n", encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(path), "--epochs", "0",
+                            "--out", str(tmp_path / "never.ckpt")], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ia_activations"), err
+    assert acts.split(",")[-1] in lines[0] and "gelu, silu, relu, sigmoid" in lines[0]
+
+
 def test_selftest_exits_zero(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0

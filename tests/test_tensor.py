@@ -263,28 +263,78 @@ def test_conv_group_mismatch_raises():
         T.conv2d(x, w, None, T.ConvSpec(out_channels=4, kernel=(3, 3), groups=2))
 
 
+def conv_reference(x, w, b, stride, padding, groups):
+    """Direct nested-loop grouped cross-correlation (independent oracle)."""
+    n, c, h, wd = x.shape
+    oc, cg, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, oc, ho, wo))
+    for s in range(n):
+        for o in range(oc):
+            first = o // (oc // groups) * cg
+            for i in range(ho):
+                for j in range(wo):
+                    acc = b[o]
+                    for ci in range(cg):
+                        for u in range(kh):
+                            for v in range(kw):
+                                acc += w[o, ci, u, v] * xp[s, first + ci, i * sh + u, j * sw + v]
+                    out[s, o, i, j] = acc
+    return out
+
+
+CONV_CASES = {  # id: (input shape, spec)
+    "1x1": ((2, 3, 4, 5), T.ConvSpec(4, (1, 1))),
+    "3x3-s2-p1": ((2, 3, 6, 6), T.ConvSpec(4, (3, 3), (2, 2), (1, 1))),
+    "5x5-depthwise-p2": ((1, 4, 6, 6), T.ConvSpec(4, (5, 5), (1, 1), (2, 2), groups=4)),
+    "groups2": ((1, 4, 5, 5), T.ConvSpec(6, (3, 3), (1, 1), (1, 1), groups=2)),
+    "1x3-s2x1-p0x1": ((1, 2, 5, 4), T.ConvSpec(3, (1, 3), (2, 1), (0, 1))),
+    "odd-extent-drops-last-row": ((1, 2, 6, 5), T.ConvSpec(2, (3, 3), (2, 2), (0, 0))),
+    "empty-batch": ((0, 3, 4, 4), T.ConvSpec(4, (3, 3), (2, 2), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv_matches_nested_loop_reference(case):
+    shape, spec = CONV_CASES[case]
+    rng = np.random.default_rng(list(CONV_CASES).index(case))
+    x = rand(rng, shape)
+    w = rand(rng, (spec.out_channels, shape[1] // spec.groups, *spec.kernel))
+    b = rand(rng, (spec.out_channels,))
+    out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spec).data
+    ref = conv_reference(x, w, b, spec.stride, spec.padding, spec.groups)
+    assert out.shape == ref.shape
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+
 def test_conv_gradient_vs_fd():
     rng = np.random.default_rng(8)
-    for _ in range(5):
-        x = rand(rng, (2, 4, 5, 5))
-        w = rand(rng, (6, 4, 3, 3)) * 0.5
-        b = rand(rng, (6,))
-        spec = T.ConvSpec(out_channels=6, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    spec = T.ConvSpec(out_channels=6, kernel=(3, 3), stride=(2, 2), padding=(1, 1))
+    cases = [((2, 4, 5, 5), spec)] * 5 + [CONV_CASES["groups2"], CONV_CASES["1x3-s2x1-p0x1"]]
+    for shape, spec in cases:
+        x = rand(rng, shape)
+        w = rand(rng, (spec.out_channels, shape[1] // spec.groups, *spec.kernel)) * 0.5
+        b = rand(rng, (spec.out_channels,))
         err = check_gradients(
             lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], spec) ** 2.0), [x, w, b], rng)
-        assert err < 1e-5
+        assert err < 1e-5, spec
 
 
 def test_depthwise_conv_gradient_vs_fd():
     rng = np.random.default_rng(9)
     spec = T.ConvSpec(out_channels=4, kernel=(3, 3), stride=(1, 1), padding=(1, 1), groups=4)
-    for _ in range(5):
-        x = rand(rng, (1, 4, 4, 4))
-        w = rand(rng, (4, 1, 3, 3))
-        b = rand(rng, (4,))
+    # then the IA blocks' depth-wise conv
+    cases = [((1, 4, 4, 4), spec)] * 5 + [CONV_CASES["5x5-depthwise-p2"]]
+    for shape, spec in cases:
+        x = rand(rng, shape)
+        w = rand(rng, (spec.out_channels, 1, *spec.kernel))
+        b = rand(rng, (spec.out_channels,))
         err = check_gradients(
             lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], spec) ** 2.0), [x, w, b], rng)
-        assert err < 1e-5
+        assert err < 1e-5, spec
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +444,12 @@ def test_upsample_scale_one_is_identity():
 
 
 def test_upsample_matches_half_pixel_formula():
-    img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = T.bilinear_upsample(T.Tensor(img[None, None]), 2).data[0, 0]
-    np.testing.assert_allclose(out, bilinear_reference(img, 2), rtol=1e-6)
+    square = np.array([[1.0, 2.0], [3.0, 4.0]])
+    wide = np.random.default_rng(15).normal(size=(3, 5))
+    for img, scale in ((square, 2), (square, 4), (wide, 2), (wide, 4)):
+        out = T.bilinear_upsample(T.Tensor(img[None, None]), scale).data[0, 0]
+        np.testing.assert_allclose(out, bilinear_reference(img, scale), rtol=1e-6,
+                                   err_msg=f"{img.shape} map at scale {scale}")
 
 
 def test_upsample_rejects_bad_scale():
