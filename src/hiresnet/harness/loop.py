@@ -159,6 +159,21 @@ def evaluate_store(store, config, dataset, loss_config, batch_size=4, seed=0):
     return metrics(cm), losses
 
 
+def _train_step(store, opt, config, batch, loss_config, cea_rng, lr):
+    """One forward, loss, backward and AdamW update; returns the loss breakdown.
+
+    A function of its own so that the step's outputs, and through them its
+    consumed tape, die when it returns rather than during the next step.
+    """
+    store.zero_grads()
+    with T.Tape():
+        out = network.network_forward(Tensor(batch.images), store, config, training=True)
+        total, bd = combined_loss(out, batch.labels, loss_config, cea_rng)
+        T.backward(total)
+    adamw_step(store, opt, lr=lr)
+    return bd
+
+
 def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
           batch_size=4, base_lr=3e-3, train_count=16, val_count=8,
           out_path=None, log_path=None, warmup_epochs=None, use_augment=True,
@@ -194,13 +209,7 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
             if use_augment:
                 batch = augment(batch, aug_rng)
             lr = lr_at(schedule, global_step)
-            store.zero_grads()
-            with T.Tape():
-                out = network.network_forward(Tensor(batch.images), store, config,
-                                              training=True)
-                total, bd = combined_loss(out, batch.labels, loss_config, cea_rng)
-                T.backward(total)
-            adamw_step(store, opt, lr=lr)
+            bd = _train_step(store, opt, config, batch, loss_config, cea_rng, lr)
             log.log(global_step, lr, bd, "train")
             running.append(bd["loss_total"])
             global_step += 1

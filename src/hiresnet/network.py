@@ -192,16 +192,21 @@ def _embed(x, store, name, d, training):
     return T.gelu(h)
 
 
-def refine(branches, store, config, training, prefix="refine"):
+def refine(branches, store, config, training, image_hw, prefix="refine"):
     """Coarse 1x1 head plus pixel-region context refinement.
 
     Soft region features are softmax-of-logits weighted sums of the shared
     pixel features; pixel-region affinities re-weight embedded region
     descriptors into a context map that augments each pixel before the
-    refined classification.
+    refined classification. Both logit maps are upsampled to `image_hw`,
+    which must be branch 0's extent times one integer scale on both axes.
     """
     n = branches[0].shape[0]
     hq, wq = branches[0].shape[2], branches[0].shape[3]
+    h, w = image_hw
+    scale = h // hq
+    if (hq * scale, wq * scale) != (h, w):
+        raise ShapeError(f"cannot upsample {hq}x{wq} features by one integer scale to {h}x{w}")
     k = config.num_classes
     cs = sum(config.channels)
     d = config.context_dim
@@ -233,7 +238,6 @@ def refine(branches, store, config, training, prefix="refine"):
     refined_in = T.concat([feat, context], axis=1)
     refined = apply_conv(refined_in, store, f"{prefix}.refined", ConvSpec(k, (1, 1)))
 
-    scale = config.input_hw[0] // hq
     return SegOutput(coarse_logits=T.bilinear_upsample(coarse, scale),
                      refined_logits=T.bilinear_upsample(refined, scale))
 
@@ -241,7 +245,7 @@ def refine(branches, store, config, training, prefix="refine"):
 def network_forward(image, store, config, training):
     x = funnel_forward(image, store, config, training)
     branches = multi_branch_forward(x, store, config, training)
-    return refine(branches, store, config, training)
+    return refine(branches, store, config, training, image.shape[2:])
 
 
 def fused_probabilities(out: SegOutput):

@@ -47,6 +47,13 @@ class Tape:
     backward() must be reset() before recording again. backward() unhooks
     the leaves, so parameters that outlive a step do not keep its consumed
     tape (and every array its closures saved) alive.
+
+    Invariant: a backward closure captures arrays, shapes, dtypes and flags,
+    never a Tensor. Every recorded output holds its tape, so a captured
+    Tensor would close the cycle tape -> node -> closure -> Tensor -> tape,
+    and the step's saved arrays would wait for the cycle collector. Without
+    it the only references into a tape are its outputs' `_tape` fields, and
+    refcounting frees the tape the moment the step's outputs go out of scope.
     """
 
     def __init__(self):
@@ -293,9 +300,10 @@ def add(a, b):
     b = _coerce(b, a)
     _check_broadcast(a.data, b.data)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record(out, (a, b), bwd)
 
@@ -304,9 +312,10 @@ def sub(a, b):
     b = _coerce(b, a)
     _check_broadcast(a.data, b.data)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record(out, (a, b), bwd)
 
@@ -314,10 +323,11 @@ def sub(a, b):
 def mul(a, b):
     b = _coerce(b, a)
     _check_broadcast(a.data, b.data)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -325,11 +335,12 @@ def mul(a, b):
 def div(a, b):
     b = _coerce(b, a)
     _check_broadcast(a.data, b.data)
-    out = a.data / b.data
+    ad, bd = a.data, b.data
+    out = ad / bd
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / bd, ad.shape)
+        gb = _unbroadcast(-g * ad / (bd * bd), bd.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -337,10 +348,11 @@ def div(a, b):
 
 def pow_scalar(a, p):
     p = float(p)
-    out = a.data ** p
+    ad = a.data
+    out = ad ** p
 
     def bwd(g):
-        return (g * p * a.data ** (p - 1.0),)
+        return (g * p * ad ** (p - 1.0),)
 
     return _record(out, (a,), bwd)
 
@@ -355,10 +367,11 @@ def exp(a):
 
 
 def log(a):
-    out = np.log(a.data)
+    ad = a.data
+    out = np.log(ad)
 
     def bwd(g):
-        return (g / a.data,)
+        return (g / ad,)
 
     return _record(out, (a,), bwd)
 
@@ -379,10 +392,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def relu(a):
-    out = np.maximum(a.data, 0)
+    ad = a.data
+    out = np.maximum(ad, 0)
 
     def bwd(g):
-        return (g * (a.data > 0),)
+        return (g * (ad > 0),)
 
     return _record(out, (a,), bwd)
 
@@ -407,11 +421,12 @@ def sigmoid(a):
 
 
 def silu(a):
-    s = _sigmoid_np(a.data)
-    out = a.data * s
+    ad = a.data
+    s = _sigmoid_np(ad)
+    out = ad * s
 
     def bwd(g):
-        return (g * s * (1.0 + a.data * (1.0 - s)),)
+        return (g * s * (1.0 + ad * (1.0 - s)),)
 
     return _record(out, (a,), bwd)
 
@@ -446,9 +461,10 @@ def _expand_reduced(g, shape, axis, keepdims):
 
 def tsum(a, axis=None, keepdims=False):
     out = np.sum(a.data, axis=axis, keepdims=keepdims)
+    sa = a.data.shape
 
     def bwd(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims),)
+        return (_expand_reduced(g, sa, axis, keepdims),)
 
     return _record(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
@@ -460,9 +476,10 @@ def tmean(a, axis=None, keepdims=False):
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = math.prod(a.data.shape[ax % a.data.ndim] for ax in axes)
+    sa = a.data.shape
 
     def bwd(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
+        return (_expand_reduced(g, sa, axis, keepdims) / count,)
 
     return _record(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
@@ -560,11 +577,12 @@ def matmul(a, b):
         raise ShapeError("matmul requires tensors of rank >= 2")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"inner dims differ: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -584,9 +602,10 @@ def reshape(a, shape):
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"cannot reshape {a.data.shape} to {shape}")
     out = a.data.reshape(shape)
+    sa = a.data.shape
 
     def bwd(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(sa),)
 
     return _record(out, (a,), bwd)
 
@@ -623,9 +642,10 @@ def slice_axis(a, axis, start, stop):
     axis = axis % a.data.ndim
     idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.data.ndim))
     out = a.data[idx]
+    sa, dtype = a.data.shape, a.data.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(sa, dtype=dtype)
         full[idx] = g
         return (full,)
 
@@ -722,12 +742,13 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, m
 
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    gm = gamma.data.reshape(1, c, 1, 1)
+    out = gm * xhat + beta.data.reshape(1, c, 1, 1)
 
     def bwd(g):
         g_gamma = np.sum(g * xhat, axis=(0, 2, 3))
         g_beta = np.sum(g, axis=(0, 2, 3))
-        dxhat = g * gamma.data.reshape(1, c, 1, 1)
+        dxhat = g * gm
         if training:
             m = n * h * w
             s1 = np.sum(dxhat, axis=(0, 2, 3)).reshape(1, c, 1, 1)
@@ -779,6 +800,6 @@ def global_avg_pool(x):
     out = x.data.mean(axis=(2, 3))
 
     def bwd(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)),)
 
     return _record(out, (x,), bwd)

@@ -144,10 +144,11 @@ def test_criterion_01_gradient_suite():
     for _ in range(10):
         shapes = [(1, 2, 8, 8), (1, 4, 4, 4), (1, 8, 2, 2)]
         empties = [Tensor(np.zeros((0,) + sh[1:])) for sh in shapes]
-        store = make_store(lambda s: network.refine(empties, s, MICRO, False), rng)
+        store = make_store(lambda s: network.refine(empties, s, MICRO, False, MICRO.input_hw), rng)
 
         def refine_loss(ts):
-            out = network.refine(list(ts), store, MICRO, training=True)
+            out = network.refine(list(ts), store, MICRO, training=True,
+                                 image_hw=MICRO.input_hw)
             return T.tsum(out.coarse_logits ** 2.0) + T.tsum(out.refined_logits ** 2.0)
 
         err = check_store_gradients(refine_loss, store,

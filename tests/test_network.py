@@ -243,6 +243,24 @@ def test_refine_output_shapes():
     assert out.refined_logits.shape == (2, 3, 32, 32)
 
 
+@pytest.mark.parametrize("hw", [(128, 128), (64, 128), (128, 64)])
+def test_logits_match_an_input_size_other_than_the_config(hw):
+    store = init(DESK)
+    x = T.Tensor(np.random.default_rng(9).normal(size=(1, 3, *hw)).astype(np.float32))
+    out = network.network_forward(x, store, DESK, training=False)
+    assert out.coarse_logits.shape == (1, DESK.num_classes, *hw)
+    assert out.refined_logits.shape == (1, DESK.num_classes, *hw)
+
+
+def test_refine_rejects_an_image_size_no_integer_scale_reaches():
+    store = init(TINY)
+    x = T.Tensor(np.random.default_rng(10).normal(size=(1, 3, 32, 32)).astype(np.float32))
+    branches = network.multi_branch_forward(network.funnel_forward(x, store, TINY, False),
+                                            store, TINY, False)
+    with pytest.raises(T.ShapeError):
+        network.refine(branches, store, TINY, False, image_hw=(32, 64))
+
+
 def test_refine_affinity_rows_sum_to_one():
     rng = np.random.default_rng(6)
     store = init(TINY)
@@ -261,7 +279,7 @@ def test_refine_affinity_rows_sum_to_one():
 
     T.softmax = capture
     try:
-        network.refine(branches, store, TINY, training=False)
+        network.refine(branches, store, TINY, training=False, image_hw=TINY.input_hw)
     finally:
         T.softmax = orig_softmax
     np.testing.assert_allclose(captured["affinity"].sum(axis=2), 1.0, atol=1e-6)
