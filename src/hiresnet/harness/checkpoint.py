@@ -8,6 +8,7 @@ Entry names are namespaced: "param." / "buffer." for the model store,
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -20,17 +21,26 @@ class CheckpointError(RuntimeError):
 
 
 def write_entries(path, entries):
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        for name, arr in entries.items():
-            arr = np.asarray(arr, dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes(order="C"))
+    """Write to a temporary file beside `path`, then rename it onto `path`,
+    so an error mid-write leaves an existing checkpoint untouched."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            for name, arr in entries.items():
+                arr = np.asarray(arr, dtype="<f4")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_entries(path):

@@ -4,10 +4,16 @@ Scenes are textured backgrounds with three shape families painted over
 them: axis-aligned rectangles, discs, and 2-pixel-wide polylines. The class
 pixel budgets are deliberately imbalanced (lines are thin, rectangles are
 large) so the inverse-volume weighting of the dice term actually matters.
+
+Images resample through two cached interpolation matrices, `A_h · X · A_wᵀ`,
+shared by every channel (`resize_bilinear`). Their weights keep this
+module's historical low-border clamp, because the benchmark's recorded
+losses were computed from data resampled with it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +44,7 @@ class SegBatch:
 
 def _background(rng, h, w):
     coarse = rng.uniform(0.12, 0.38, size=(3, h // 8 + 1, w // 8 + 1))
-    img = np.stack([resize_bilinear(c, (h, w)) for c in coarse])
+    img = resize_bilinear(coarse, (h, w))
     img[1] += 0.14  # greenish tint
     return img
 
@@ -126,22 +132,38 @@ def stack_batches(items):
 # geometry helpers shared with the contrastive-pretraining augmentations
 
 
+@functools.cache
+def _resize_matrix(n_in, n_out):
+    """Read-only [n_out, n_in] float64 half-pixel interpolation weights.
+
+    Output o samples s = (o + 0.5) n_in / n_out - 0.5 and blends i0 with
+    weight 1 - f and i1 with weight f. The low border is clamped wrongly:
+    i1 = clip(clip(floor(s)) + 1) and f = clip(s - floor(s), 0, 1), so for
+    s < 0 the first row mixes samples 0 and 1 instead of repeating sample 0.
+    `tensor.bilinear_matrix` clamps correctly. These weights are kept
+    because perfbench's `baseline.json` losses were recorded from scenes
+    and crops resampled with them; fixing the border re-records that file.
+    Cached and shared by every caller, so the array is not writable.
+    """
+    rows = np.arange(n_out)
+    s = (rows + 0.5) * n_in / n_out - 0.5
+    i0 = np.clip(np.floor(s).astype(int), 0, n_in - 1)
+    i1 = np.clip(i0 + 1, 0, n_in - 1)
+    f = np.clip(s - np.floor(s), 0.0, 1.0)
+    a = np.zeros((n_out, n_in))
+    a[rows, i0] = 1.0 - f
+    a[rows, i1] += f
+    a.setflags(write=False)
+    return a
+
+
 def resize_bilinear(img, out_hw):
-    """Half-pixel bilinear resize of a 2-d array (plain numpy, no autodiff)."""
-    h, w = img.shape
+    """Half-pixel bilinear resize of [..., H, W] to [..., oh, ow] as float64
+    (plain numpy, no autodiff): `A_h · img · A_wᵀ`, one matmul pair for
+    every leading channel, with `_resize_matrix`'s weights."""
+    h, w = img.shape[-2:]
     oh, ow = out_hw
-    sy = (np.arange(oh) + 0.5) * h / oh - 0.5
-    sx = (np.arange(ow) + 0.5) * w / ow - 0.5
-    y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    fy = np.clip(sy - np.floor(sy), 0.0, 1.0).reshape(-1, 1)
-    fx = np.clip(sx - np.floor(sx), 0.0, 1.0).reshape(1, -1)
-    return ((1 - fy) * (1 - fx) * img[y0[:, None], x0[None, :]]
-            + (1 - fy) * fx * img[y0[:, None], x1[None, :]]
-            + fy * (1 - fx) * img[y1[:, None], x0[None, :]]
-            + fy * fx * img[y1[:, None], x1[None, :]])
+    return _resize_matrix(h, oh) @ img @ _resize_matrix(w, ow).T
 
 
 def resize_nearest(arr, out_hw):
@@ -167,7 +189,7 @@ def scale_crop(img, lab, ratio, rng):
         return img, lab
     c, h, w = img.shape
     nh, nw = max(2, round(h * ratio)), max(2, round(w * ratio))
-    scaled = np.stack([resize_bilinear(ch, (nh, nw)) for ch in img])
+    scaled = resize_bilinear(img, (nh, nw))
     slab = resize_nearest(lab, (nh, nw)) if lab is not None else None
     out_img = np.zeros((c, h, w), dtype=img.dtype)
     out_lab = np.zeros((h, w), dtype=lab.dtype) if lab is not None else None
@@ -191,7 +213,6 @@ def augment(batch, rng, ratios=SCALE_RATIOS):
     images = []
     labels = []
     for img, lab in zip(batch.images, batch.labels):
-        img, lab = img.copy(), lab.copy()
         if rng.random() < 0.5:
             img, lab = flip_image(img, 0), np.flip(lab, axis=0).copy()
         if rng.random() < 0.5:

@@ -132,7 +132,7 @@ def augment_pair(image, rng, cfg=None):
     cfg = cfg or PretrainConfig()
 
     def one_view():
-        img = image.copy()
+        img = image
         if rng.random() < cfg.flip_prob:
             img = flip_image(img, 0)
         if rng.random() < cfg.flip_prob:

@@ -44,9 +44,9 @@ class Tape:
 
     Invariant: every parent of node i has index < i, so one reverse pass over
     the append order visits each node exactly once. A tape that has run
-    backward() must be reset() before recording again. backward() unhooks
-    the leaves, so parameters that outlive a step do not keep its consumed
-    tape (and every array its closures saved) alive.
+    backward() records nothing more; each step opens a new Tape. backward()
+    unhooks the leaves, so parameters that outlive a step do not keep its
+    consumed tape (and every array its closures saved) alive.
 
     Invariant: a backward closure captures arrays, shapes, dtypes and flags,
     never a Tensor. Every recorded output holds its tape, so a captured
@@ -60,7 +60,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.leaves: dict[int, "Tensor"] = {}
         self._consumed = False
-        self.generation = 0
 
     def __enter__(self):
         _TAPES.append(self)
@@ -72,15 +71,9 @@ class Tape:
 
     def _push(self, node):
         if self._consumed:
-            raise TapeError("tape already consumed by backward(); call reset() first")
+            raise TapeError("tape already consumed by backward(); record on a new Tape")
         self.nodes.append(node)
         return len(self.nodes) - 1
-
-    def reset(self):
-        self.nodes.clear()
-        self.leaves.clear()
-        self._consumed = False
-        self.generation += 1
 
 
 def active_tape():
@@ -90,7 +83,7 @@ def active_tape():
 class Tensor:
     """Dense N-d array with an optional handle into the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node", "_gen")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -103,7 +96,6 @@ class Tensor:
         self.grad = None
         self._tape = None
         self._node = None
-        self._gen = -1
 
     @property
     def shape(self):
@@ -201,7 +193,6 @@ def _register_leaf(t, tape):
     tape.leaves[idx] = t
     t._tape = tape
     t._node = idx
-    t._gen = tape.generation
     return idx
 
 
@@ -217,7 +208,7 @@ def _record(out_data, inputs, backward):
     tracked = False
     for t in inputs:
         if isinstance(t, Tensor):
-            if t._tape is tape and t._gen == tape.generation and t._node is not None:
+            if t._tape is tape and t._node is not None:
                 parent_idx.append(t._node)
                 tracked = True
                 continue
@@ -230,7 +221,6 @@ def _record(out_data, inputs, backward):
         return out
     out._tape = tape
     out._node = tape._push(_Node(tuple(parent_idx), backward))
-    out._gen = tape.generation
     return out
 
 
@@ -242,7 +232,7 @@ def backward(loss):
         raise ShapeError("backward() requires a scalar loss")
     tape = loss._tape
     if tape._consumed:
-        raise TapeError("tape already consumed by backward(); call reset() first")
+        raise TapeError("tape already consumed by backward(); record on a new Tape")
     tape._consumed = True
     grads = [None] * len(tape.nodes)
     grads[loss._node] = np.ones_like(loss.data)

@@ -289,6 +289,20 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert float(meta["epochs"]) == 3.0
 
 
+def test_checkpoint_failed_save_keeps_the_previous_file(tmp_path):
+    class Unconvertible:
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("conversion failed")
+
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(small_store(), None, {"epochs": 3.0}, path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="conversion failed"):
+        ckpt.write_entries(path, {"param.layer.bias": np.ones(3), "param.bad": Unconvertible()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

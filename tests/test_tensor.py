@@ -569,13 +569,12 @@ def test_backward_rejects_detached():
 
 def test_tape_requires_reset_between_backwards():
     x = T.Tensor(np.ones(2), requires_grad=True)
-    with T.Tape() as tape:
+    with T.Tape():
         loss = T.tsum(x)
         T.backward(loss)
         with pytest.raises(T.TapeError):
             T.tsum(x * 2.0)
-    tape.reset()
-    with tape:
+    with T.Tape():  # a consumed tape records nothing; the next step opens a new one
         T.backward(T.tsum(x * 3.0))
     np.testing.assert_array_equal(x.grad, [4.0, 4.0])  # 1 + 3 accumulated
 
