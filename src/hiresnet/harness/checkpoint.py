@@ -8,6 +8,7 @@ Entry names are namespaced: "param." / "buffer." for the model store,
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -44,34 +45,38 @@ def write_entries(path, entries):
 
 
 def read_entries(path):
+    """Every entry of a checkpoint file. A declared length (name, dims or
+    payload) is checked against the bytes left in the file before it is
+    read, so a corrupt header raises CheckpointError instead of asking for
+    gigabytes."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: bad magic (not a checkpoint)")
+
+        def take(n, what):
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
+            return fh.read(n)
+
         entries = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                return entries
-            if len(head) < 4:
-                raise CheckpointError(f"{path}: truncated entry header")
-            (name_len,) = struct.unpack("<I", head)
-            raw = fh.read(name_len)
-            if len(raw) < name_len:
-                raise CheckpointError(f"{path}: truncated entry name")
-            name = raw.decode("utf-8")
-            rank_raw = fh.read(4)
-            if len(rank_raw) < 4:
-                raise CheckpointError(f"{path}: truncated rank for {name}")
-            (rank,) = struct.unpack("<I", rank_raw)
-            dims_raw = fh.read(4 * rank)
-            if len(dims_raw) < 4 * rank:
-                raise CheckpointError(f"{path}: truncated dims for {name}")
-            shape = struct.unpack(f"<{rank}I", dims_raw) if rank else ()
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(4 * count)
-            if len(payload) < 4 * count:
-                raise CheckpointError(f"{path}: truncated payload for {name}")
-            entries[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", take(4, "entry header"))
+            raw = take(name_len, "entry name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: entry name ending at byte {fh.tell()} is not UTF-8") from None
+            (rank,) = struct.unpack("<I", take(4, f"rank for {name}"))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, f"dims for {name}"))
+            # math.prod: Python ints, where np.prod could wrap around int64
+            payload = take(4 * math.prod(shape), f"payload for {name}")
+            try:
+                entries[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            except ValueError:  # more dims than numpy takes, or a zero-size overflow
+                raise CheckpointError(f"{path}: unusable rank-{rank} shape for {name}") from None
+        return entries
 
 
 def save_checkpoint(store, opt, meta, path):

@@ -392,13 +392,9 @@ def relu(a):
 
 
 def _sigmoid_np(x):
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # stable in both tails: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a):
@@ -490,6 +486,30 @@ def softmax(a, axis):
     return _record(out, (a,), bwd)
 
 
+# scalar_token_attention builds exp(scores) in blocks of windows of at most
+# this many bytes. 1 MiB holds a whole DESK call (512 windows, 2 heads,
+# 16 tokens, float32) in one block. At 256 KiB a DESK eval step took ~10x
+# the minor page faults (~450 against ~45 per step over a 10 s run).
+_ATTN_BLOCK_BYTES = 1 << 20
+
+
+def _exp_score_blocks(lhs, rhs):
+    """Yield (windows, e) with e = exp(lhs @ rhs) for consecutive slices of
+    the window axis, sized to _ATTN_BLOCK_BYTES. Every e is a view of one
+    buffer that the next block overwrites."""
+    b, rows, _ = lhs.shape
+    t = rhs.shape[2]
+    dtype = np.result_type(lhs, rhs)
+    step = max(1, _ATTN_BLOCK_BYTES // max(1, rows * t * dtype.itemsize))
+    buf = np.empty((min(step, b), rows, t), dtype)
+    for start in range(0, b, step):
+        windows = slice(start, min(start + step, b))
+        e = buf[:windows.stop - start]
+        np.matmul(lhs[windows], rhs[windows], out=e)
+        np.exp(e, out=e)
+        yield windows, e
+
+
 def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     """Multi-head softmax attention over windows of scalar tokens, fused.
 
@@ -504,6 +524,14 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     needs only P, r = P x and q = P x^2 (taken of the centered tokens):
     du = beta g (q - r^2), and dx is one P^T [beta g, u beta g, u beta g r]
     product plus alpha du.
+
+    The unnormalized P, e = exp(scores), is built a block of windows at a
+    time: as many as fit in _ATTN_BLOCK_BYTES (1 MiB; at least one), in one
+    buffer per call. The forward keeps only the moments e @ [1, x, x^2]; the
+    backward recomputes each block's e from the saved rank-2 factors, so no
+    array of B*H*T^2 elements outlives either pass. Each window is the same
+    matmul as when e is built whole, so results do not depend on the block
+    size.
     """
     x = tok.data
     if x.ndim != 2 or any(p.data.ndim != 1 for p in (alpha, gamma, beta)):
@@ -519,10 +547,16 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     x_sel = np.where(u >= 0, xc.max(axis=1)[:, None, None], xc.min(axis=1)[:, None, None])
     # scores minus the row max, u_i xc_j - u_i x_sel, as one rank-2 product
     lhs = np.stack([u, -u * x_sel], axis=-1).reshape(b, heads * t, 2)
-    e = lhs @ np.stack([xc, np.ones_like(xc)], axis=1)                      # [B, H*T, T]
-    np.exp(e, out=e)
+    rhs = np.stack([xc, np.ones_like(xc)], axis=1)                          # [B, 2, T]
     # one pass over e yields the row sums and both moments: e @ [1, xc, xc^2]
-    mom = (e @ np.stack([np.ones_like(xc), xc, xc * xc], axis=-1)).reshape(b, heads, t, 3)
+    powers = np.stack([np.ones_like(xc), xc, xc * xc], axis=-1)             # [B, T, 3]
+    mom = np.empty((b, heads * t, 3), np.result_type(lhs, rhs))
+    p_full = np.empty((b, heads * t, t), mom.dtype) if return_attn else None
+    for windows, e in _exp_score_blocks(lhs, rhs):
+        np.matmul(e, powers[windows], out=mom[windows])
+        if return_attn:
+            p_full[windows] = e
+    mom = mom.reshape(b, heads, t, 3)
     z = mom[..., 0]
     r = mom[..., 1] / z                                                     # P xc
     out = np.einsum("h,bht->bt", be, r) + be.sum() * x_mean
@@ -533,7 +567,9 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
         ubg = u * bg
         # P^T V = e^T (V / z), contracting heads and query tokens in one matmul
         v = (np.stack([bg, ubg, ubg * r], axis=-1) / z[..., None]).reshape(b, heads * t, 3)
-        pv = np.swapaxes(e, 1, 2) @ v                                       # [B, T, 3]
+        pv = np.empty((b, t, 3), np.result_type(lhs, rhs, v))
+        for windows, e in _exp_score_blocks(lhs, rhs):
+            np.matmul(np.swapaxes(e, 1, 2), v[windows], out=pv[windows])
         gx = pv[..., 0] + xc * pv[..., 1] - pv[..., 2] + np.einsum("h,bht->bt", al, du)
         g_alpha = np.einsum("bht,bt->h", du, x)
         g_gamma = du.sum(axis=(0, 2))
@@ -542,7 +578,7 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
 
     y = _record(out, (tok, alpha, gamma, beta), bwd)
     if return_attn:
-        return y, Tensor(e.reshape(b, heads, t, t) / z[..., None])
+        return y, Tensor(p_full.reshape(b, heads, t, t) / z[..., None])
     return y
 
 

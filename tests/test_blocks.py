@@ -229,15 +229,37 @@ def test_wmhsa_matches_lifted_reference(dtype, window, heads, head_dim):
     store = random_wmhsa_store(rng, heads, head_dim, dtype)
     spec = WindowSpec(window, heads, head_dim)
     x = (rng.normal(size=(2, 3, 2 * window, window)) * 1.5).astype(dtype)
-    tgt = T.Tensor(rng.normal(size=x.shape).astype(dtype))
+    assert_matches_lifted_reference(x, store, spec, rng)
+
+
+def assert_matches_lifted_reference(x, store, spec, rng):
+    """wmhsa's output, input gradient and parameter gradients against
+    lifted_wmhsa's, at REFERENCE_TOL for x's dtype."""
+    tgt = T.Tensor(rng.normal(size=x.shape).astype(x.dtype))
     fused = grads_of(lambda t: blocks.wmhsa(t, store, "attn", spec), x, store, tgt)
     ref = grads_of(lambda t: lifted_wmhsa(t, store, "attn", spec), x, store, tgt)
-    tol = REFERENCE_TOL[dtype]
+    tol = REFERENCE_TOL[x.dtype.type]
     assert norm_rel(fused[0], ref[0]) <= tol
     assert norm_rel(fused[1], ref[1]) <= tol
     assert set(fused[2]) == set(ref[2])
     for name in ref[2]:
         assert norm_rel(fused[2][name], ref[2][name]) <= tol, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_wmhsa_matches_lifted_reference_across_attention_blocks(dtype):
+    # 256 windows of 49 tokens: 54 per float32 block and 27 per float64 block,
+    # so several full blocks and a partial last one
+    rng = np.random.default_rng(23)
+    store = random_wmhsa_store(rng, 2, 4, dtype)
+    spec = WindowSpec(7, 2, 4)
+    x = (rng.normal(size=(2, 8, 28, 28)) * 1.5).astype(dtype)
+    windows, per_block = 256, T._ATTN_BLOCK_BYTES // (2 * 49 * 49 * np.dtype(dtype).itemsize)
+    assert 1 < per_block < windows and windows % per_block
+    assert_matches_lifted_reference(x, store, spec, rng)
+    _, attn = blocks.wmhsa(T.Tensor(x), store, "attn", spec, return_attn=True)
+    assert attn.shape == (windows, 2, 49, 49)
+    np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, rtol=10 * np.finfo(dtype).eps)
 
 
 def test_wmhsa_key_bias_has_no_effect():

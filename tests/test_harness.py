@@ -2,6 +2,7 @@
 metrics, and the checkpoint container."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -318,6 +319,55 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(raw[:-5])
     with pytest.raises(ckpt.CheckpointError):
         ckpt.load_checkpoint(path)
+
+
+def single_entry_checkpoint(path, name="w"):
+    """A checkpoint holding one [3, 2] entry; returns its bytes and the
+    offset of the entry's dims."""
+    ckpt.write_entries(path, {name: np.arange(6.0).reshape(3, 2)})
+    return bytearray(path.read_bytes()), len(ckpt.MAGIC) + 4 + len(name.encode()) + 4
+
+
+def test_checkpoint_huge_declared_dims_raise_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    raw, dims = single_entry_checkpoint(path)
+    raw[dims:dims + 8] = struct.pack("<2I", 60000, 60000)  # 14.4 GB of payload
+    path.write_bytes(raw)
+    with pytest.raises(ckpt.CheckpointError, match="payload for w"):
+        ckpt.read_entries(path)
+
+
+def test_checkpoint_undecodable_name_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    raw, _ = single_entry_checkpoint(path, name="layer.w")
+    raw[len(ckpt.MAGIC) + 4] = 0xFF  # never valid in UTF-8
+    path.write_bytes(raw)
+    with pytest.raises(ckpt.CheckpointError, match="not UTF-8"):
+        ckpt.read_entries(path)
+
+
+def test_corrupt_checkpoints_read_or_raise_checkpoint_error(tmp_path):
+    # every truncation and seeded single-byte flips of a small checkpoint
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(small_store(), OptimState(step=2), {"epochs": 3.0}, path)
+    good = path.read_bytes()
+    rng = np.random.default_rng(41)
+    corrupt = [good[:n] for n in range(len(good))]
+    for _ in range(400):
+        raw = bytearray(good)
+        raw[rng.integers(len(raw))] ^= int(rng.integers(1, 256))
+        corrupt.append(bytes(raw))
+    outcomes = {"read": 0, "error": 0}
+    for raw in corrupt:
+        path.write_bytes(raw)
+        try:
+            entries = ckpt.read_entries(path)
+        except ckpt.CheckpointError:
+            outcomes["error"] += 1
+        else:
+            assert all(isinstance(a, np.ndarray) for a in entries.values())
+            outcomes["read"] += 1
+    assert outcomes["read"] and outcomes["error"]
 
 
 def test_checkpoint_shape_mismatch_names_offender(tmp_path):

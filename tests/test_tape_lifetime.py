@@ -77,22 +77,22 @@ def record_tapes(monkeypatch, keep):
     return made
 
 
-def tensors_held_by(fn):
-    """Tensors in `fn`'s closure cells, also inside lists, tuples and the
-    closures of nested functions."""
+def held_by(fn, kind):
+    """Objects of type `kind` in `fn`'s closure cells, also inside lists,
+    tuples and the closures of nested functions."""
     found = []
     for cell in fn.__closure__ or ():
-        found += _tensors_in(cell.cell_contents)
+        found += _held_in(cell.cell_contents, kind)
     return found
 
 
-def _tensors_in(value):
-    if isinstance(value, T.Tensor):
+def _held_in(value, kind):
+    if isinstance(value, kind):
         return [value]
     if isinstance(value, (list, tuple)):
-        return [t for v in value for t in _tensors_in(v)]
+        return [t for v in value for t in _held_in(v, kind)]
     if isinstance(value, types.FunctionType):
-        return tensors_held_by(value)
+        return held_by(value, kind)
     return []
 
 
@@ -112,7 +112,7 @@ def test_no_backward_closure_holds_a_tensor(name, monkeypatch):
     (tape,) = tapes
     held = {}
     for i, node in enumerate(tape.nodes):
-        if node.backward is not None and tensors_held_by(node.backward):
+        if node.backward is not None and held_by(node.backward, T.Tensor):
             held[i] = node.backward.__qualname__
     assert len(tape.nodes) > 10
     assert not held, f"backward closures holding a Tensor: {held}"
@@ -133,3 +133,20 @@ def test_train_keeps_no_consumed_tape_alive(monkeypatch, no_cycle_collector):
     loop.train(DESK, epochs=1, train_count=12, val_count=4, quiet=True)
     assert len(refs) == 3
     assert live_at_forward == [1, 1, 1, 0]
+
+
+def test_attention_backward_keeps_no_window_sized_array(monkeypatch):
+    # 256 windows of 49 tokens and 2 heads span several attention blocks
+    tapes = record_tapes(monkeypatch, keep=True)
+    rng = np.random.default_rng(3)
+    b, t, heads = 256, 49, 2
+    tok = T.Tensor(rng.normal(size=(b, t)).astype(np.float32), requires_grad=True)
+    alpha, gamma, beta = (T.Tensor(rng.normal(size=heads).astype(np.float32), requires_grad=True)
+                          for _ in range(3))
+    with T.Tape():
+        T.scalar_token_attention(tok, alpha, gamma, beta)
+    (tape,) = tapes
+    (node,) = [n for n in tape.nodes if n.backward is not None]
+    sizes = [a.size for a in held_by(node.backward, np.ndarray)]
+    assert sizes
+    assert max(sizes) < b * heads * t * t

@@ -125,6 +125,29 @@ def test_activation_values_at_zero():
     assert T.sigmoid(z).data[0] == 0.5
 
 
+def masked_sigmoid(x):
+    """Reference sigmoid: each tail's stable formula on its own masked subset."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_the_masked_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(31)
+    edges = [0.0, -0.0, 1e4, -1e4, 1.0, -1.0, 88.0, -88.0, 750.0, -750.0]
+    x = np.concatenate([edges, rng.normal(size=2000) * 5, rng.normal(size=500) * 200]).astype(dtype)
+    x = rng.permutation(x).reshape(2, 5, 251)
+    s = T._sigmoid_np(x)
+    assert s.dtype == dtype
+    np.testing.assert_array_equal(s, masked_sigmoid(x))
+    np.testing.assert_array_equal(T.sigmoid(T.Tensor(x)).data, masked_sigmoid(x))
+    np.testing.assert_array_equal(T.silu(T.Tensor(x)).data, x * masked_sigmoid(x))
+
+
 def test_relu_values():
     x = T.tensor_from([2], [-1.0, 2.0])
     np.testing.assert_array_equal(T.relu(x).data, [0.0, 2.0])
