@@ -16,8 +16,8 @@ import numpy as np
 
 def _as_binary(mask):
     m = np.asarray(mask)
-    if m.ndim != 2:
-        raise ValueError(f"mask must be 2-d, got shape {m.shape}")
+    if m.ndim < 2:
+        raise ValueError(f"mask must be [..., H, W], got shape {m.shape}")
     if not np.isin(m, (0, 1)).all():
         raise ValueError("mask values must be strictly 0/1")
     return m.astype(np.uint8)
@@ -30,6 +30,8 @@ def exact_dt(mask, cap):
     background; distances are clipped at `cap`.
     """
     m = _as_binary(mask)
+    if m.ndim != 2:
+        raise ValueError(f"mask must be 2-d, got shape {m.shape}")
     h, w = m.shape
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -53,19 +55,24 @@ def exact_dt(mask, cap):
 
 def cascaded_conv_dt(mask, cap):
     """Erosion-cascade distance transform: DT = sum of the first `cap`
-    erosions of the mask (counting the mask itself), i.e. min(d, cap)."""
+    erosions of the mask (counting the mask itself), i.e. min(d, cap).
+
+    `mask` is one [H, W] mask or a stack [..., H, W], eroded together; a
+    mask that empties early adds only zeros while the others go on.
+    """
     m = _as_binary(mask)
     if cap < 0:
         raise ValueError("cap must be non-negative")
     out = np.zeros(m.shape, dtype=np.int64)
     cur = m
+    pad = [(0, 0)] * (m.ndim - 2) + [(1, 1), (1, 1)]
     for _ in range(cap):
         if not cur.any():
             break
         out += cur
-        p = np.pad(cur, 1)  # exterior is background
-        cur = (p[1:-1, 1:-1] & p[:-2, 1:-1] & p[2:, 1:-1]
-               & p[1:-1, :-2] & p[1:-1, 2:])
+        p = np.pad(cur, pad)  # exterior is background
+        cur = (p[..., 1:-1, 1:-1] & p[..., :-2, 1:-1] & p[..., 2:, 1:-1]
+               & p[..., 1:-1, :-2] & p[..., 1:-1, 2:])
     return out
 
 

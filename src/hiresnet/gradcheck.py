@@ -62,31 +62,14 @@ def sample_coords(rng, size, limit):
 def check_gradients(build, arrays, rng, eps=1e-6, max_coords=6):
     """Compare tape gradients of `build` against finite differences.
 
-    `build(tensors) -> scalar Tensor` constructs the graph on a fresh tape from
-    leaf tensors wrapping `arrays` (shared buffers, float64). Returns the max
-    relative error across all arrays.
+    `build(tensors) -> scalar Tensor` constructs the graph from leaf tensors
+    wrapping `arrays` (shared buffers, float64): `check_store_gradients` with
+    an empty store. Returns the max relative error across all arrays.
     """
-    from . import tensor as T
+    from .params import ParamStore
 
-    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
-    with T.Tape():
-        loss = build(leaves)
-        T.backward(loss)
-
-    def value():
-        with T.Tape():
-            fresh = [T.Tensor(a, requires_grad=False) for a in arrays]
-            return float(build(fresh).data.reshape(()))
-
-    f_scale = float(loss.data.reshape(()))
-    worst = 0.0
-    for leaf, arr in zip(leaves, arrays):
-        assert leaf.grad is not None, "leaf received no gradient"
-        coords = sample_coords(rng, arr.size, max_coords)
-        _, num = numerical_gradient(value, arr, eps=eps, coords=coords)
-        ana = leaf.grad.reshape(-1)[coords]
-        worst = max(worst, masked_rel_error(ana, num, f_scale, eps))
-    return worst
+    return check_store_gradients(build, ParamStore(np.float64), arrays, rng, eps=eps,
+                                 max_coords=max_coords)
 
 
 def check_store_gradients(forward, store, x_arrays, rng, eps=1e-6, max_coords=4,

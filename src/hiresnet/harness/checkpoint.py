@@ -117,20 +117,14 @@ def load_checkpoint(path):
 
 def restore_store(store, params, buffers, path="<checkpoint>"):
     """Copy checkpoint arrays into an initialized store, validating shapes."""
-    for name, t in store.params():
-        if name not in params:
-            raise CheckpointError(f"{path}: missing parameter {name}")
-        if params[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {name}: "
-                f"checkpoint {params[name].shape} vs config {t.data.shape}")
-        t.data = params[name].astype(t.data.dtype)
-    for name, t in store.buffers():
-        if name not in buffers:
-            raise CheckpointError(f"{path}: missing buffer {name}")
-        if buffers[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {name}: "
-                f"checkpoint {buffers[name].shape} vs config {t.data.shape}")
-        t.data = buffers[name].astype(t.data.dtype)
+    for kind, saved, entries in (("parameter", params, store.params()),
+                                 ("buffer", buffers, store.buffers())):
+        for name, t in entries:
+            if name not in saved:
+                raise CheckpointError(f"{path}: missing {kind} {name}")
+            if saved[name].shape != t.data.shape:
+                raise CheckpointError(
+                    f"{path}: shape mismatch for {name}: "
+                    f"checkpoint {saved[name].shape} vs config {t.data.shape}")
+            t.data = saved[name].astype(t.data.dtype)
     return store

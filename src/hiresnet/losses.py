@@ -133,11 +133,9 @@ def cea_loss(probs, labels, config, rng, forced_class=None):
     t_mask = (labels == c).astype(np.uint8)
     s_mask = (probs.data[:, c] >= 0.5).astype(np.uint8)
     beta = config.hd_beta
-    weight = np.stack([
-        cascaded_conv_dt(t_mask[i], config.dt_cap).astype(np.float64) ** beta
-        + cascaded_conv_dt(s_mask[i], config.dt_cap).astype(np.float64) ** beta
-        for i in range(labels.shape[0])
-    ]).astype(probs.data.dtype)
+    weight = (cascaded_conv_dt(t_mask, config.dt_cap).astype(np.float64) ** beta
+              + cascaded_conv_dt(s_mask, config.dt_cap).astype(np.float64) ** beta
+              ).astype(probs.data.dtype)
 
     p_c = T.reshape(T.slice_axis(probs, 1, c, c + 1), t_mask.shape)
     diff = Tensor(t_mask.astype(probs.data.dtype)) - p_c

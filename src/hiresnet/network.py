@@ -160,29 +160,19 @@ def fuse(branches, store, prefix, channels, training):
 
 
 def multi_branch_forward(x, store, config, training):
-    c1, c2, c3 = config.channels
-    _, b2, b3 = config.blocks
-    m1, m2 = config.modules
-
-    b0 = x
-    b1 = new_branch(b0, store, "layer1.spawn", c2, training)
-    for m in range(m1):
-        cur = []
-        for br, t in enumerate((b0, b1)):
-            for k in range(b2):
-                t = _apply_stage_block(t, store, f"layer1.mod{m}.b{br}.blk{k}", config, training)
-            cur.append(t)
-        b0, b1 = fuse(cur, store, f"layer1.mod{m}.fuse", (c1, c2), training)
-
-    b2_ = new_branch(b1, store, "layer2.spawn", c3, training)
-    branches = [b0, b1, b2_]
-    for m in range(m2):
-        cur = []
-        for br, t in enumerate(branches):
-            for k in range(b3):
-                t = _apply_stage_block(t, store, f"layer2.mod{m}.b{br}.blk{k}", config, training)
-            cur.append(t)
-        branches = fuse(cur, store, f"layer2.mod{m}.fuse", (c1, c2, c3), training)
+    """Layer l spawns branch l from the last branch, then runs its modules:
+    blocks on every branch, then a fusion across all of them."""
+    branches = [x]
+    for layer, (n_blocks, n_modules) in enumerate(zip(config.blocks[1:], config.modules), 1):
+        branches.append(new_branch(branches[-1], store, f"layer{layer}.spawn",
+                                   config.channels[layer], training))
+        for m in range(n_modules):
+            for br in range(len(branches)):
+                for k in range(n_blocks):
+                    branches[br] = _apply_stage_block(
+                        branches[br], store, f"layer{layer}.mod{m}.b{br}.blk{k}", config, training)
+            branches = fuse(branches, store, f"layer{layer}.mod{m}.fuse",
+                            config.channels[:layer + 1], training)
     return branches
 
 

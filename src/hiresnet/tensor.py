@@ -518,8 +518,8 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     y_i = sum_h beta_h (P x)_i, shape [B, T]. With return_attn, P
     [B, H, T, T] is returned beside y as a constant tensor.
 
-    The row max is exact without scanning the scores: u_i max(x) when
-    u_i >= 0, else u_i min(x). Tokens are centered per window first (softmax
+    The row max is exact without scanning the scores: the larger of
+    u_i max(x) and u_i min(x). Tokens are centered per window first (softmax
     is invariant to that shift), which keeps the products small. Backward
     needs only P, r = P x and q = P x^2 (taken of the centered tokens):
     du = beta g (q - r^2), and dx is one P^T [beta g, u beta g, u beta g r]
@@ -544,9 +544,9 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     x_mean = x.mean(axis=1, keepdims=True)
     xc = x - x_mean                                                         # [B, T]
     u = al[:, None] * x[:, None, :] + ga[:, None]                           # [B, H, T]
-    x_sel = np.where(u >= 0, xc.max(axis=1)[:, None, None], xc.min(axis=1)[:, None, None])
-    # scores minus the row max, u_i xc_j - u_i x_sel, as one rank-2 product
-    lhs = np.stack([u, -u * x_sel], axis=-1).reshape(b, heads * t, 2)
+    row_max = np.maximum(u * xc.max(axis=1)[:, None, None], u * xc.min(axis=1)[:, None, None])
+    # scores minus the row max, u_i xc_j - row_max_i, as one rank-2 product
+    lhs = np.stack([u, -row_max], axis=-1).reshape(b, heads * t, 2)
     rhs = np.stack([xc, np.ones_like(xc)], axis=1)                          # [B, 2, T]
     # one pass over e yields the row sums and both moments: e @ [1, xc, xc^2]
     powers = np.stack([np.ones_like(xc), xc, xc * xc], axis=-1)             # [B, T, 3]
@@ -637,9 +637,8 @@ def reshape(a, shape):
 
 
 def transpose(a, axes):
-    axes = tuple(axes)
-    inv = np.argsort(axes)
-    out = np.transpose(a.data, axes)
+    out = np.transpose(a.data, axes)  # rejects repeated and out-of-range axes
+    inv = np.argsort([ax % a.data.ndim for ax in axes])
 
     def bwd(g):
         return (np.transpose(g, inv),)
@@ -650,6 +649,9 @@ def transpose(a, axes):
 def concat(tensors, axis):
     tensors = list(tensors)
     ref = tensors[0].data.shape
+    if not -len(ref) <= axis < len(ref):
+        raise ShapeError(f"concat axis {axis} out of range for shape {ref}")
+    axis %= len(ref)
     for t in tensors[1:]:
         s = t.data.shape
         if len(s) != len(ref) or any(i != axis and s[i] != ref[i] for i in range(len(ref))):

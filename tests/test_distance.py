@@ -91,6 +91,26 @@ def test_rejects_non_binary():
         exact_dt(np.array([[0, 2]]), 5)
 
 
+@pytest.mark.parametrize("cap", [0, 3, 20])
+def test_stacked_masks_match_the_oracle_per_mask(cap):
+    # one cascade over a stack: masks that empty early keep eroding zeros
+    rng = np.random.default_rng(4)
+    stack = (rng.random((6, 12, 16)) < rng.uniform(0.3, 0.95, size=(6, 1, 1))).astype(np.uint8)
+    stack[0] = 0
+    stack[1] = 1
+    out = cascaded_conv_dt(stack, cap)
+    assert out.shape == stack.shape
+    for m, d in zip(stack, out):
+        np.testing.assert_array_equal(d, exact_dt(m, cap))
+
+
+def test_rejects_wrong_rank():
+    with pytest.raises(ValueError):
+        cascaded_conv_dt(np.ones(5, dtype=np.uint8), 3)
+    with pytest.raises(ValueError):
+        exact_dt(np.ones((2, 4, 4), dtype=np.uint8), 3)
+
+
 # ---------------------------------------------------------------------------
 # onehot
 

@@ -384,6 +384,25 @@ def test_checkpoint_shape_mismatch_names_offender(tmp_path):
         ckpt.restore_store(other, params, buffers, path=str(path))
 
 
+def test_checkpoint_restore_names_missing_and_misshaped_buffers(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(small_store(), None, {}, path)
+    params, buffers, _, _ = ckpt.load_checkpoint(path)
+
+    extra = small_store()
+    extra.add_buffer("layer.running_var", np.ones(3, dtype=np.float32))
+    with pytest.raises(ckpt.CheckpointError, match="missing buffer layer.running_var"):
+        ckpt.restore_store(extra, params, buffers, path=str(path))
+
+    other = ParamStore()
+    other.add_param("layer.weight", np.zeros((3, 2), dtype=np.float32))
+    other.add_param("layer.bias", np.zeros(3, dtype=np.float32))
+    other.add_buffer("layer.running_mean", np.zeros(4, dtype=np.float32))
+    with pytest.raises(ckpt.CheckpointError,
+                       match=r"shape mismatch for layer.running_mean: checkpoint \(3,\) vs config \(4,\)"):
+        ckpt.restore_store(other, params, buffers, path=str(path))
+
+
 def test_checkpoint_with_key_bias_entries_restores(tmp_path):
     # HIRES1 files written before window attention dropped its (dead) key
     # bias carry `*.attn.k.bias`; restore_store ignores names the store lacks

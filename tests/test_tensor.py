@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hiresnet.tensor as T
-from hiresnet.gradcheck import check_gradients, rel_error
+from hiresnet.gradcheck import check_gradients, check_store_gradients, rel_error
+from hiresnet.params import ParamStore
 
 
 def rand(rng, shape):
@@ -95,6 +96,27 @@ def test_matmul_hand_dot():
 def test_matmul_dim_mismatch():
     with pytest.raises(T.ShapeError):
         T.matmul(T.zeros((2, 3)), T.zeros((2, 3)))
+
+
+def _square_with_doubled_gradient(a):
+    """x^2 whose recorded backward returns twice the true gradient."""
+    ad = a.data
+    return T._record(ad * ad, (a,), lambda g: (4.0 * g * ad,))
+
+
+def test_gradient_checkers_catch_a_wrong_backward():
+    # negative control: the oracle must fail an op whose backward is off by 2x
+    rng = np.random.default_rng(20)
+    x = rand(rng, (3, 4))
+    err = check_gradients(lambda ts: T.tsum(_square_with_doubled_gradient(ts[0])), [x], rng)
+    assert err >= 0.4
+
+    store = ParamStore(np.float64)
+    store.add_param("w", rand(rng, (3, 4)))
+    err = check_store_gradients(
+        lambda ts: T.tsum(_square_with_doubled_gradient(ts[0] * store["w"])), store,
+        [rand(rng, (3, 4))], rng)
+    assert err >= 0.4
 
 
 def test_matmul_gradient_vs_fd():
@@ -546,6 +568,37 @@ def test_transpose_gradient():
     err = check_gradients(
         lambda ts: T.tsum(T.transpose(ts[0], (2, 0, 1)) * T.Tensor(tgt)), [x], rng, max_coords=10)
     assert err < 1e-6
+
+
+def test_transpose_negative_axes_gradient():
+    rng = np.random.default_rng(19)
+    x = T.Tensor(rand(rng, (2, 3, 4)), requires_grad=True)
+    w = rand(rng, (4, 2, 3))
+    with T.Tape():
+        out = T.transpose(x, (-1, 0, 1))
+        np.testing.assert_array_equal(out.data, np.transpose(x.data, (2, 0, 1)))
+        T.backward(T.tsum(out * T.Tensor(w)))
+    np.testing.assert_array_equal(x.grad, np.transpose(w, (1, 2, 0)))
+    with pytest.raises(ValueError):
+        T.transpose(x, (3, 0, 1))
+    err = check_gradients(
+        lambda ts: T.tsum(T.transpose(ts[0], (-1, 0, 1)) * T.Tensor(w)), [x.data], rng,
+        max_coords=10)
+    assert err < 1e-6
+
+
+def test_concat_negative_axis():
+    a = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = T.Tensor(np.ones((2, 4)), requires_grad=True)
+    g = np.arange(14.0).reshape(2, 7)
+    with T.Tape():
+        out = T.concat([a, b], axis=-1)
+        assert out.shape == (2, 7)
+        T.backward(T.tsum(out * T.Tensor(g)))
+    np.testing.assert_array_equal(a.grad, g[:, :3])
+    np.testing.assert_array_equal(b.grad, g[:, 3:])
+    with pytest.raises(T.ShapeError):
+        T.concat([a, b], axis=2)
 
 
 def test_concat_slice_round_trip_bit_exact():
