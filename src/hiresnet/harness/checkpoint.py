@@ -1,9 +1,10 @@
 """Versioned binary checkpoint container.
 
-Layout (little-endian): 6-byte magic "HIRES1", then entries until EOF, each
-entry being u32 name length, UTF-8 name, u32 rank, u32 dims, f32 payload.
-Entry names are namespaced: "param." / "buffer." for the model store,
-"opt." for optimizer moments, "meta." for scalar run metadata.
+Layout (little-endian): 6-byte magic "HIRES2", u32 meta length, UTF-8 meta
+text, then entries until EOF, each entry being u32 name length, UTF-8 name,
+u32 rank, u32 dims, f32 payload. Entry names are namespaced: "param." /
+"buffer." for the model store, "opt." for optimizer moments. The meta text
+is `key = value` lines, the format `train --config` reads.
 """
 
 from __future__ import annotations
@@ -14,20 +15,53 @@ import struct
 
 import numpy as np
 
-MAGIC = b"HIRES1"
+MAGIC = b"HIRES2"
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
-def write_entries(path, entries):
+def parse_key_values(text, where, error=ValueError):
+    """`key = value` lines -> {key: value}, both stripped, skipping blank and
+    `#` lines. A line without `=` or a repeated key raises `error`."""
+    pairs = {}
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{where}:{line_no}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in pairs:
+            raise error(f"{where}:{line_no}: duplicate key {key!r}")
+        pairs[key] = value
+    return pairs
+
+
+def _format_value(value):
+    """The one written form of a meta value: str() of it, or of each item of a
+    tuple joined by commas. For an int that is decimal, and for a float the
+    shortest text that reads back to the same value of its type."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def write_entries(path, entries, meta=None):
     """Write to a temporary file beside `path`, then rename it onto `path`,
-    so an error mid-write leaves an existing checkpoint untouched."""
+    so an error mid-write leaves an existing checkpoint untouched. Meta text
+    that would not read back as written (a newline, an `=` in a key, edge
+    whitespace) raises ValueError before anything is written."""
+    written = {key: _format_value(value) for key, value in (meta or {}).items()}
+    meta_text = "".join(f"{key} = {value}\n" for key, value in written.items())
+    if parse_key_values(meta_text, "meta") != written:
+        raise ValueError(f"meta {written!r} would not read back as written")
+    meta_raw = meta_text.encode("utf-8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(meta_raw)))
+            fh.write(meta_raw)
             for name, arr in entries.items():
                 arr = np.asarray(arr, dtype="<f4")
                 raw = name.encode("utf-8")
@@ -45,13 +79,16 @@ def write_entries(path, entries):
 
 
 def read_entries(path):
-    """Every entry of a checkpoint file. A declared length (name, dims or
-    payload) is checked against the bytes left in the file before it is
-    read, so a corrupt header raises CheckpointError instead of asking for
+    """(entries, meta) of a checkpoint file. A declared length (meta, name,
+    dims or payload) is checked against the bytes left in the file before it
+    is read, so a corrupt header raises CheckpointError instead of asking for
     gigabytes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(MAGIC)) != MAGIC:
+        magic = fh.read(len(MAGIC))
+        if magic == b"HIRES1":
+            raise CheckpointError(f"{path}: HIRES1 files are no longer read; re-save the model")
+        if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic (not a checkpoint)")
 
         def take(n, what):
@@ -59,15 +96,21 @@ def read_entries(path):
                 raise CheckpointError(f"{path}: truncated {what}")
             return fh.read(n)
 
+        def utf8(raw, what):
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: {what} ending at byte {fh.tell()} is not UTF-8") from None
+
+        (meta_len,) = struct.unpack("<I", take(4, "meta header"))
+        meta = parse_key_values(utf8(take(meta_len, "meta"), "meta"), f"{path}: meta",
+                                CheckpointError)
+
         entries = {}
         while fh.tell() < size:
             (name_len,) = struct.unpack("<I", take(4, "entry header"))
-            raw = take(name_len, "entry name")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(
-                    f"{path}: entry name ending at byte {fh.tell()} is not UTF-8") from None
+            name = utf8(take(name_len, "entry name"), "entry name")
             (rank,) = struct.unpack("<I", take(4, f"rank for {name}"))
             shape = struct.unpack(f"<{rank}I", take(4 * rank, f"dims for {name}"))
             # math.prod: Python ints, where np.prod could wrap around int64
@@ -76,11 +119,11 @@ def read_entries(path):
                 entries[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
             except ValueError:  # more dims than numpy takes, or a zero-size overflow
                 raise CheckpointError(f"{path}: unusable rank-{rank} shape for {name}") from None
-        return entries
+        return entries, meta
 
 
 def save_checkpoint(store, opt, meta, path):
-    """Model parameters + buffers, optional optimizer moments, scalar meta."""
+    """Model parameters + buffers, optional optimizer moments, meta text."""
     entries = {}
     for name, t in store.params():
         entries[f"param.{name}"] = t.data
@@ -92,27 +135,19 @@ def save_checkpoint(store, opt, meta, path):
             entries[f"opt.m.{name}"] = arr
         for name, arr in opt.v.items():
             entries[f"opt.v.{name}"] = arr
-    for key, value in (meta or {}).items():
-        entries[f"meta.{key}"] = np.asarray(value, dtype=np.float64)
-    write_entries(path, entries)
+    write_entries(path, entries, meta)
 
 
 def load_checkpoint(path):
-    """Returns (params, buffers, opt_entries, meta) dicts of arrays."""
-    entries = read_entries(path)
-    params, buffers, opt_entries, meta = {}, {}, {}, {}
+    """Returns (params, buffers, opt_entries, meta): dicts of arrays, then {key: str}."""
+    entries, meta = read_entries(path)
+    spaces = {"param": {}, "buffer": {}, "opt": {}}
     for name, arr in entries.items():
-        if name.startswith("param."):
-            params[name[len("param."):]] = arr
-        elif name.startswith("buffer."):
-            buffers[name[len("buffer."):]] = arr
-        elif name.startswith("opt."):
-            opt_entries[name[len("opt."):]] = arr
-        elif name.startswith("meta."):
-            meta[name[len("meta."):]] = arr
-        else:
+        space, dot, rest = name.partition(".")
+        if not dot or space not in spaces:
             raise CheckpointError(f"{path}: unknown entry namespace for {name!r}")
-    return params, buffers, opt_entries, meta
+        spaces[space][rest] = arr
+    return spaces["param"], spaces["buffer"], spaces["opt"], meta
 
 
 def restore_store(store, params, buffers, path="<checkpoint>"):

@@ -111,7 +111,7 @@ def _cmd_pretrain(args):
             sys.stdout.write(f"step {step}\tloss {loss:.6f}\n")
     if args.out:
         store, meta = moco.export_encoder(state)
-        meta.update({"steps": float(args.steps), "queue": float(args.queue),
+        meta.update({"steps": args.steps, "queue": args.queue,
                      "momentum": args.momentum, "tau": args.tau})
         ckpt.save_checkpoint(store, None, meta, args.out)
     return 0
@@ -126,9 +126,7 @@ def _cmd_inspect(args):
     for name, arr in buffers.items():
         sys.stdout.write(f"buffer\t{name}\t{'x'.join(map(str, arr.shape)) or 'scalar'}\n")
     for key in sorted(meta):
-        values = np.atleast_1d(meta[key])
-        joined = ",".join(f"{v:g}" for v in values)
-        sys.stdout.write(f"meta\t{key}\t{joined}\n")
+        sys.stdout.write(f"meta\t{key}\t{meta[key]}\n")
     sys.stdout.write(f"param_count\t{total}\n")
     return 0
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .. import network
 from .. import tensor as T
-from ..blocks import ACTIVATIONS
 from ..losses import LossConfig, combined_loss
 from ..network import NetworkConfig
 from ..tensor import Tensor
@@ -25,15 +24,9 @@ from .optim import OptimState, Schedule, adamw_step, lr_at
 
 LOG_COLUMNS = ("step", "lr", "loss_total", "loss_gd", "loss_lsce", "loss_cea", "split")
 
-# string-valued fields travel through the f32 checkpoint container as indices
-# into their vocabulary, under these meta keys; every other field is numeric
-# and travels as cfg_<field>
-_STRING_FIELDS = {"block_kind": ("cfg_block_kind", ("ia", "basic")),
-                  "ia_activations": ("cfg_ia_act", tuple(ACTIVATIONS))}
-
 
 def _parse_field(field, text):
-    """Config-file text -> the field's value, typed after its default."""
+    """Config text -> the field's value, typed after its default."""
     if isinstance(field.default, tuple):
         kind = type(field.default[0])
         return tuple(kind(part.strip()) for part in text.split(","))
@@ -42,17 +35,8 @@ def _parse_field(field, text):
 
 def parse_config_file(path):
     """Flat key=value UTF-8 text -> NetworkConfig."""
-    overrides = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            overrides[key] = value
-    return config_from_overrides(overrides)
+        return config_from_overrides(ckpt.parse_key_values(fh.read(), path))
 
 
 def config_from_overrides(overrides):
@@ -66,26 +50,13 @@ def config_from_overrides(overrides):
 
 
 def config_to_meta(config):
-    meta = {}
-    for field in dataclasses.fields(NetworkConfig):
-        value = getattr(config, field.name)
-        key, vocab = _STRING_FIELDS.get(field.name, (f"cfg_{field.name}", None))
-        if vocab is not None:
-            value = ([vocab.index(v) for v in value] if isinstance(value, tuple)
-                     else vocab.index(value))
-        meta[key] = np.asarray(value, dtype=np.float64)
-    return meta
+    return {f"cfg_{f.name}": getattr(config, f.name) for f in dataclasses.fields(NetworkConfig)}
 
 
 def config_from_meta(meta):
-    kwargs = {}
-    for field in dataclasses.fields(NetworkConfig):
-        key, vocab = _STRING_FIELDS.get(field.name, (f"cfg_{field.name}", None))
-        values = [int(v) for v in np.atleast_1d(meta[key])]
-        if vocab is not None:
-            values = [vocab[v] for v in values]
-        kwargs[field.name] = tuple(values) if isinstance(field.default, tuple) else values[0]
-    return NetworkConfig(**kwargs)
+    """The NetworkConfig of checkpoint meta: its `cfg_` keys, parsed as `--config` text."""
+    return config_from_overrides({key[len("cfg_"):]: value for key, value in meta.items()
+                                  if key.startswith("cfg_")})
 
 
 def format_float(x):
@@ -224,9 +195,8 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
                                        batch_size=batch_size, seed=init_seed + 4)
     log.close()
 
-    meta = dict(config_to_meta(config))
-    meta.update({"data_seed": float(data_seed), "init_seed": float(init_seed),
-                 "epochs": float(epochs), "batch_size": float(batch_size)})
+    meta = config_to_meta(config) | {"data_seed": data_seed, "init_seed": init_seed,
+                                     "epochs": epochs, "batch_size": batch_size}
     if out_path:
         ckpt.save_checkpoint(store, opt, meta, out_path)
 

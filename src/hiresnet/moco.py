@@ -17,7 +17,6 @@ from . import network
 from . import tensor as T
 from .blocks import apply_linear
 from .harness.data import SCALE_RATIOS, flip_image, scale_crop
-from .network import NetworkConfig
 from .params import ParamStore, build, record
 from .tensor import Tensor
 
@@ -35,13 +34,6 @@ class PretrainConfig:
     jitter: float = 0.05
     flip_prob: float = 0.5
     ratios: tuple = SCALE_RATIOS
-
-    def encoder_config(self):
-        # reuse the funnel stem; branch fields beyond it are unused, and the
-        # funnel itself only requires inputs divisible by 4
-        return NetworkConfig(channels=(self.width, 2 * self.width, 4 * self.width),
-                             blocks=(self.ib_blocks, 1, 1), modules=(1, 1),
-                             window=2, head_dim=2, num_classes=2, input_hw=(64, 64))
 
 
 @dataclass
@@ -65,7 +57,7 @@ def init_encoder(cfg, rng, dtype=np.float32):
 def encode(images, store, cfg, training):
     """images [N, 3, H, W] -> L2-normalized features [N, proj_dim]."""
     x = images if isinstance(images, Tensor) else Tensor(images)
-    feats = network.funnel_forward(x, store, cfg.encoder_config(), training)
+    feats = network.funnel_forward(x, store, cfg.width, cfg.ib_blocks, training)
     pooled = T.global_avg_pool(feats)
     return l2_normalize(apply_linear(pooled, store, "proj", cfg.proj_dim))
 
@@ -181,8 +173,6 @@ def moco_step(state, images, rng, velocity, lr=None):
     return float(loss.data)
 
 
-def export_encoder(state, opt_meta=None):
+def export_encoder(state):
     """Entries for the harness checkpoint, tagged as encoder-only weights."""
-    meta = {"encoder_only": 1.0}
-    meta.update(opt_meta or {})
-    return state.params_q, meta
+    return state.params_q, {"encoder_only": 1}

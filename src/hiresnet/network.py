@@ -106,17 +106,16 @@ def param_count(config):
 # forward passes
 
 
-def funnel_forward(image, store, config, training, prefix="funnel"):
+def funnel_forward(image, store, width, ib_blocks, training, prefix="funnel"):
     h, w = image.shape[2], image.shape[3]
     if h % 4 or w % 4:
         raise ShapeError(f"funnel needs input divisible by 4, got {h}x{w}")
-    c1 = config.channels[0]
-    down = ConvSpec(c1, (3, 3), (2, 2), (1, 1))
+    down = ConvSpec(width, (3, 3), (2, 2), (1, 1))
     x = apply_bn(image, store, f"{prefix}.bn1", training)
     x = T.gelu(apply_conv(x, store, f"{prefix}.conv1", down))
     x = apply_bn(x, store, f"{prefix}.bn2", training)
     x = T.gelu(apply_conv(x, store, f"{prefix}.conv2", down))
-    for k in range(config.blocks[0]):
+    for k in range(ib_blocks):
         x = blocks.ib_block(x, store, f"{prefix}.ib{k}", training)
     return x
 
@@ -233,7 +232,7 @@ def refine(branches, store, config, training, image_hw, prefix="refine"):
 
 
 def network_forward(image, store, config, training):
-    x = funnel_forward(image, store, config, training)
+    x = funnel_forward(image, store, config.channels[0], config.blocks[0], training)
     branches = multi_branch_forward(x, store, config, training)
     return refine(branches, store, config, training, image.shape[2:])
 

@@ -667,7 +667,9 @@ def concat(tensors, axis):
 
 
 def slice_axis(a, axis, start, stop):
-    axis = axis % a.data.ndim
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"slice axis {axis} out of range for shape {a.data.shape}")
+    axis %= a.data.ndim
     idx = tuple(slice(start, stop) if i == axis else slice(None) for i in range(a.data.ndim))
     out = a.data[idx]
     sa, dtype = a.data.shape, a.data.dtype
@@ -749,7 +751,9 @@ def conv2d(x, weight, bias, spec):
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, momentum=0.1):
-    """running_mean / running_var are plain buffers, updated in place in training mode."""
+    """running_mean / running_var are plain buffers. A training call sets each to
+    (1 − momentum)·old + momentum·batch, for the batch mean and the biased batch
+    variance (÷ N·H·W, the one that normalizes the batch; not ÷ N·H·W − 1)."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     n, c, h, w = x.data.shape

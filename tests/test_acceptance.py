@@ -277,14 +277,14 @@ def test_criterion_05_shape_ladder():
     full = NetworkConfig.full_scale()
     store = network.init_network(full, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).normal(size=(1, 3, 224, 224)).astype(np.float32))
-    feats = network.funnel_forward(x, store, full, training=False)
+    feats = network.funnel_forward(x, store, full.channels[0], full.blocks[0], training=False)
     branches = network.multi_branch_forward(feats, store, full, training=False)
     got = [tuple(b.shape) for b in branches]
     assert got == [(1, 48, 56, 56), (1, 96, 28, 28), (1, 192, 14, 14)]
 
     store = network.init_network(DESK, np.random.default_rng(2))
     x = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
-    feats = network.funnel_forward(x, store, DESK, training=False)
+    feats = network.funnel_forward(x, store, DESK.channels[0], DESK.blocks[0], training=False)
     desk_branches = network.multi_branch_forward(feats, store, DESK, training=False)
     desk_got = [tuple(b.shape) for b in desk_branches]
     assert desk_got == [(1, 8, 16, 16), (1, 16, 8, 8), (1, 32, 4, 4)]
@@ -447,13 +447,13 @@ def test_criterion_10_determinism_and_persistence(tmp_path, capsys):
     assert logs[0] == logs[1], "repeated runs produced different TSV logs"
     assert tables[0] == tables[1]
 
-    # checkpoint round trip is bit-exact
+    # checkpoint round trip is bit-exact, meta text included
     params, buffers, _, meta = ckpt.load_checkpoint(tmp_path / "model0.ckpt")
     ckpt.write_entries(tmp_path / "copy.ckpt",
                        {f"param.{k}": v for k, v in params.items()}
-                       | {f"buffer.{k}": v for k, v in buffers.items()}
-                       | {f"meta.{k}": v for k, v in meta.items()})
-    params2, buffers2, _, _ = ckpt.load_checkpoint(tmp_path / "copy.ckpt")
+                       | {f"buffer.{k}": v for k, v in buffers.items()}, meta)
+    params2, buffers2, _, meta2 = ckpt.load_checkpoint(tmp_path / "copy.ckpt")
+    assert meta2 == meta and meta["data_seed"] == "11"
     for k in params:
         np.testing.assert_array_equal(params[k], params2[k])
     for k in buffers:

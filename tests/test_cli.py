@@ -85,6 +85,33 @@ def test_zero_epoch_train_writes_checkpoint(tiny_config, tmp_path, capsys):
     assert params and float(meta["epochs"]) == 0.0
 
 
+def test_train_seeds_above_2_to_the_24_read_back_exactly(tiny_config, tmp_path, capsys):
+    out_path = tmp_path / "init.ckpt"
+    code, _, _ = run_cli(["train", "--config", tiny_config, "--init-seed", "16777217",
+                          "--data-seed", "16777219", "--epochs", "0", "--train-count", "2",
+                          "--val-count", "2", "--out", str(out_path)], capsys)
+    assert code == 0
+    _, _, _, meta = ckpt.load_checkpoint(out_path)
+    assert meta["init_seed"] == "16777217" and meta["data_seed"] == "16777219"
+    assert meta["epochs"] == "0" and meta["batch_size"] == "4"
+
+    code, out, _ = run_cli(["inspect", "--ckpt", str(out_path)], capsys)
+    assert code == 0
+    for line in ("meta\tinit_seed\t16777217", "meta\tdata_seed\t16777219",
+                 "meta\tcfg_input_hw\t32,32", "meta\tcfg_ia_activations\tgelu,silu",
+                 "meta\tcfg_block_kind\tia"):
+        assert line in out.splitlines(), line
+
+
+def test_duplicate_config_key_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "dup.cfg"
+    path.write_text(TINY_CONFIG + "window = 4\n", encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(path), "--epochs", "0",
+                            "--out", str(tmp_path / "never.ckpt")], capsys)
+    assert code == 1 and "duplicate key 'window'" in err, err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
 def test_train_eval_checkpoint_round_trip(tiny_config, tmp_path, capsys):
     out_path = tmp_path / "model.ckpt"
     log_path = tmp_path / "log.tsv"

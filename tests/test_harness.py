@@ -1,6 +1,7 @@
 """Harness components: optimizer, LR schedule, synthetic data, augmentation,
 metrics, and the checkpoint container."""
 
+import dataclasses
 import math
 import struct
 
@@ -10,6 +11,7 @@ import pytest
 from hiresnet.harness import checkpoint as ckpt
 from hiresnet.harness import data as D
 from hiresnet.harness import metrics as M
+from hiresnet.harness.loop import config_from_meta, config_to_meta
 from hiresnet.harness.optim import (NumericalError, OptimState, Schedule,
                                     adamw_step, lr_at)
 from hiresnet.network import NetworkConfig, init_network
@@ -59,6 +61,20 @@ def test_adamw_decoupled_decay_shrinks_params():
     store["w"].grad = np.zeros(1)
     adamw_step(store, opt, lr=0.1)
     np.testing.assert_allclose(store["w"].data, [4.0 * (1 - 0.1 * 0.5)])
+
+
+def test_adamw_first_step_is_bias_corrected():
+    # step 1 from zero moments: m/(1 - b1) = g and v/(1 - b2) = g², so each
+    # parameter moves by lr·g/(|g| + eps) + lr·wd·θ; without the correction
+    # the gradient term would be 0.1/√0.001 ≈ 3.2 times larger
+    theta = np.array([1.0, -2.0, 0.5, 4.0])
+    g = np.array([0.5, -2.0, 1e-3, 3.0])
+    store = one_param_store(theta.copy())
+    store["w"].grad = g
+    opt = OptimState(weight_decay=0.01)
+    adamw_step(store, opt, lr=0.1)
+    expect = theta - 0.1 * g / (np.abs(g) + opt.eps) - 0.1 * 0.01 * theta
+    np.testing.assert_allclose(store["w"].data, expect, rtol=1e-12)
 
 
 def test_adamw_aborts_on_nan_gradient():
@@ -287,7 +303,72 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(params["layer.bias"], store["layer.bias"].data)
     np.testing.assert_array_equal(buffers["layer.running_mean"],
                                   store["layer.running_mean"].data)
-    assert float(meta["epochs"]) == 3.0
+    assert meta == {"epochs": "3.0"}
+
+
+def test_checkpoint_meta_round_trips_exactly(tmp_path):
+    path = tmp_path / "model.ckpt"
+    meta = {"seed": 2 ** 53 + 1, "big": 16777217, "lr": 0.1 + 0.2, "tiny": 5e-324,
+            "f32": np.float32(0.1), "name": "gelu silu", "hw": (32, 64), "empty": ""}
+    ckpt.save_checkpoint(small_store(), None, meta, path)
+    _, _, _, got = ckpt.load_checkpoint(path)
+    assert got == {"seed": "9007199254740993", "big": "16777217",
+                   "lr": "0.30000000000000004", "tiny": "5e-324",
+                   "f32": "0.1", "name": "gelu silu", "hw": "32,64", "empty": ""}
+    assert int(got["seed"]) == 2 ** 53 + 1 and float(got["lr"]) == 0.1 + 0.2
+    assert np.float32(got["f32"]) == np.float32(0.1)
+
+
+@pytest.mark.parametrize("meta", [{"a": "x\ny"}, {"a\nb": 1}, {"a=b": 1}, {" a": 1},
+                                  {"a": "x "}, {"#a": 1}])
+def test_checkpoint_meta_that_would_not_read_back_is_refused(tmp_path, meta):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError):
+        ckpt.save_checkpoint(small_store(), None, meta, path)
+    assert not list(tmp_path.iterdir())
+
+
+def meta_block(text):
+    """The bytes after the magic of a checkpoint whose meta block is `text`."""
+    return struct.pack("<I", len(text)) + text
+
+
+@pytest.mark.parametrize("after_magic, message", [
+    (meta_block(b"a = 1\n\xff = 2\n"), "meta ending at byte 22 is not UTF-8"),
+    (meta_block(b"a = 1\nno equals sign\n"), "meta:2: expected key=value"),
+    (meta_block(b"a = 1\nb = 2\na = 3\n"), "meta:3: duplicate key 'a'"),
+    (meta_block(b"a = 1\n")[:-1], "truncated meta"),
+], ids=["not-utf8", "no-equals", "duplicate-key", "truncated"])
+def test_checkpoint_bad_meta_raises_checkpoint_error(tmp_path, after_magic, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(ckpt.MAGIC + after_magic)
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)
+
+
+def test_hires1_checkpoint_is_refused_by_name(tmp_path):
+    # the retired layout: magic, then entries, meta as "meta." f32 entries
+    path = tmp_path / "old.ckpt"
+    name = b"meta.epochs"
+    path.write_bytes(b"HIRES1" + struct.pack("<I", len(name)) + name
+                     + struct.pack("<I", 0) + struct.pack("<f", 3.0))
+    with pytest.raises(ckpt.CheckpointError, match="HIRES1.*re-save"):
+        ckpt.load_checkpoint(path)
+
+
+def test_config_with_every_field_changed_round_trips_through_a_checkpoint(tmp_path):
+    config = NetworkConfig(channels=(4, 8, 12), blocks=(1, 3, 1), modules=(2, 1), window=2,
+                           heads=3, head_dim=5, dw_kernel=3, se_ratio=2, num_classes=5,
+                           input_hw=(32, 64), block_kind="basic",
+                           ia_activations=("relu", "sigmoid"), ocr_dim=6)
+    default = NetworkConfig()
+    for field in dataclasses.fields(NetworkConfig):
+        assert getattr(config, field.name) != getattr(default, field.name), field.name
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(small_store(), None, config_to_meta(config), path)
+    _, _, _, meta = ckpt.load_checkpoint(path)
+    assert meta["cfg_ia_activations"] == "relu,sigmoid" and meta["cfg_block_kind"] == "basic"
+    assert config_from_meta(meta) == config
 
 
 def test_checkpoint_failed_save_keeps_the_previous_file(tmp_path):
@@ -322,15 +403,21 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def single_entry_checkpoint(path, name="w"):
-    """A checkpoint holding one [3, 2] entry; returns its bytes and the
-    offset of the entry's dims."""
+    """A checkpoint with empty meta holding one [3, 2] entry; returns its
+    bytes and the offsets of the entry's name and of its dims."""
     ckpt.write_entries(path, {name: np.arange(6.0).reshape(3, 2)})
-    return bytearray(path.read_bytes()), len(ckpt.MAGIC) + 4 + len(name.encode()) + 4
+    raw = bytearray(path.read_bytes())
+    at = len(ckpt.MAGIC) + 4 + 4  # magic, meta length (0), name length
+    assert raw[at - 8:at] == struct.pack("<2I", 0, len(name.encode()))
+    assert raw[at:at + len(name.encode())] == name.encode()
+    dims = at + len(name.encode()) + 4
+    assert raw[dims - 4:dims + 8] == struct.pack("<3I", 2, 3, 2)
+    return raw, at, dims
 
 
 def test_checkpoint_huge_declared_dims_raise_checkpoint_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    raw, dims = single_entry_checkpoint(path)
+    raw, _, dims = single_entry_checkpoint(path)
     raw[dims:dims + 8] = struct.pack("<2I", 60000, 60000)  # 14.4 GB of payload
     path.write_bytes(raw)
     with pytest.raises(ckpt.CheckpointError, match="payload for w"):
@@ -339,17 +426,19 @@ def test_checkpoint_huge_declared_dims_raise_checkpoint_error(tmp_path):
 
 def test_checkpoint_undecodable_name_raises_checkpoint_error(tmp_path):
     path = tmp_path / "model.ckpt"
-    raw, _ = single_entry_checkpoint(path, name="layer.w")
-    raw[len(ckpt.MAGIC) + 4] = 0xFF  # never valid in UTF-8
+    raw, name_at, _ = single_entry_checkpoint(path, name="layer.w")
+    raw[name_at] = 0xFF  # never valid in UTF-8
     path.write_bytes(raw)
-    with pytest.raises(ckpt.CheckpointError, match="not UTF-8"):
+    with pytest.raises(ckpt.CheckpointError, match="entry name ending at byte .* not UTF-8"):
         ckpt.read_entries(path)
 
 
 def test_corrupt_checkpoints_read_or_raise_checkpoint_error(tmp_path):
     # every truncation and seeded single-byte flips of a small checkpoint
+    # whose meta block holds an int, a float, a string and a tuple
     path = tmp_path / "model.ckpt"
-    ckpt.save_checkpoint(small_store(), OptimState(step=2), {"epochs": 3.0}, path)
+    meta = {"epochs": 3, "lr": 0.003, "cfg_block_kind": "basic", "cfg_input_hw": (32, 64)}
+    ckpt.save_checkpoint(small_store(), OptimState(step=2), meta, path)
     good = path.read_bytes()
     rng = np.random.default_rng(41)
     corrupt = [good[:n] for n in range(len(good))]
@@ -361,11 +450,12 @@ def test_corrupt_checkpoints_read_or_raise_checkpoint_error(tmp_path):
     for raw in corrupt:
         path.write_bytes(raw)
         try:
-            entries = ckpt.read_entries(path)
+            entries, meta = ckpt.read_entries(path)
         except ckpt.CheckpointError:
             outcomes["error"] += 1
         else:
             assert all(isinstance(a, np.ndarray) for a in entries.values())
+            assert all(isinstance(v, str) for v in meta.values())
             outcomes["read"] += 1
     assert outcomes["read"] and outcomes["error"]
 
@@ -404,7 +494,7 @@ def test_checkpoint_restore_names_missing_and_misshaped_buffers(tmp_path):
 
 
 def test_checkpoint_with_key_bias_entries_restores(tmp_path):
-    # HIRES1 files written before window attention dropped its (dead) key
+    # checkpoints written before window attention dropped its (dead) key
     # bias carry `*.attn.k.bias`; restore_store ignores names the store lacks
     config = NetworkConfig()
     store = init_network(config, np.random.default_rng(3))

@@ -59,7 +59,7 @@ def test_funnel_quarters_resolution():
     cfg = NetworkConfig(channels=(8, 16, 32), input_hw=(64, 64))
     store = init(cfg)
     x = T.Tensor(np.random.default_rng(0).normal(size=(1, 3, 64, 64)).astype(np.float32))
-    out = network.funnel_forward(x, store, cfg, training=False)
+    out = network.funnel_forward(x, store, cfg.channels[0], cfg.blocks[0], training=False)
     assert out.shape == (1, 8, 16, 16)
 
 
@@ -68,7 +68,7 @@ def test_funnel_empty_stem_is_plain_downsample():
     store = init(cfg)
     rng = np.random.default_rng(1)
     x = T.Tensor(rng.normal(size=(1, 3, 64, 64)).astype(np.float32))
-    out = network.funnel_forward(x, store, cfg, training=False)
+    out = network.funnel_forward(x, store, cfg.channels[0], cfg.blocks[0], training=False)
     assert out.shape == (1, 8, 16, 16)
     # no ib parameters were created for an empty stem
     assert not any("ib" in name for name in store.names())
@@ -80,7 +80,7 @@ def test_funnel_gradient_reaches_first_conv():
     x = T.Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
     store.zero_grads()
     with T.Tape():
-        out = network.funnel_forward(x, store, TINY, training=True)
+        out = network.funnel_forward(x, store, TINY.channels[0], TINY.blocks[0], training=True)
         T.backward(T.tsum(out ** 2.0))
     g = store["funnel.conv1.weight"].grad
     assert g is not None and np.max(np.abs(g)) > 0
@@ -189,7 +189,7 @@ def test_branch_shapes_desk_config():
 def test_resolution_ladder_matches_table():
     store = init(TINY)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 3, 32, 32)).astype(np.float32))
-    feats = network.funnel_forward(x, store, TINY, training=False)
+    feats = network.funnel_forward(x, store, TINY.channels[0], TINY.blocks[0], training=False)
     branches = network.multi_branch_forward(feats, store, TINY, training=False)
     h, w = TINY.input_hw
     for i, b in enumerate(branches):
@@ -213,7 +213,7 @@ def test_no_fourth_stage_exists():
     store = init(DESK)
     assert not any(name.startswith("layer3") for name in store.names())
     x = T.Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
-    feats = network.funnel_forward(x, store, DESK, training=False)
+    feats = network.funnel_forward(x, store, DESK.channels[0], DESK.blocks[0], training=False)
     assert len(network.multi_branch_forward(feats, store, DESK, training=False)) == 3
 
 
@@ -255,8 +255,8 @@ def test_logits_match_an_input_size_other_than_the_config(hw):
 def test_refine_rejects_an_image_size_no_integer_scale_reaches():
     store = init(TINY)
     x = T.Tensor(np.random.default_rng(10).normal(size=(1, 3, 32, 32)).astype(np.float32))
-    branches = network.multi_branch_forward(network.funnel_forward(x, store, TINY, False),
-                                            store, TINY, False)
+    feats = network.funnel_forward(x, store, TINY.channels[0], TINY.blocks[0], False)
+    branches = network.multi_branch_forward(feats, store, TINY, False)
     with pytest.raises(T.ShapeError):
         network.refine(branches, store, TINY, False, image_hw=(32, 64))
 
@@ -265,7 +265,7 @@ def test_refine_affinity_rows_sum_to_one():
     rng = np.random.default_rng(6)
     store = init(TINY)
     x = T.Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
-    feats = network.funnel_forward(x, store, TINY, training=False)
+    feats = network.funnel_forward(x, store, TINY.channels[0], TINY.blocks[0], training=False)
     branches = network.multi_branch_forward(feats, store, TINY, training=False)
 
     captured = {}
@@ -292,7 +292,7 @@ def test_uniform_coarse_logits_give_mean_region_feature():
     store["refine.coarse.weight"].data[...] = 0.0
     store["refine.coarse.bias"].data[...] = 0.0
     x = T.Tensor(rng.normal(size=(1, 3, 32, 32)).astype(np.float32))
-    feats = network.funnel_forward(x, store, TINY, training=False)
+    feats = network.funnel_forward(x, store, TINY.channels[0], TINY.blocks[0], training=False)
     branches = network.multi_branch_forward(feats, store, TINY, training=False)
 
     aligned = [branches[0]] + [T.bilinear_upsample(b, 2 ** i)
@@ -316,6 +316,18 @@ def test_inference_fusion_of_identical_maps_is_identity():
     fused = network.fused_probabilities(out)
     single = T.softmax(logits, axis=1).data
     np.testing.assert_allclose(fused, single, atol=1e-7)
+
+
+def test_inference_fusion_averages_two_different_maps():
+    # pixel 0: coarse softmax (3/4, 1/4), refined (1/2, 1/2) -> (5/8, 3/8);
+    # pixel 1: coarse (1/4, 3/4), refined (4/5, 1/5) -> (21/40, 19/40)
+    coarse = np.log(np.array([[3.0, 1.0], [1.0, 3.0]])).T.reshape(1, 2, 1, 2)
+    refined = np.log(np.array([[1.0, 1.0], [4.0, 1.0]])).T.reshape(1, 2, 1, 2)
+    out = network.SegOutput(coarse_logits=T.Tensor(coarse), refined_logits=T.Tensor(refined))
+    fused = network.fused_probabilities(out)
+    np.testing.assert_allclose(fused[0, :, 0], [[5 / 8, 21 / 40], [3 / 8, 19 / 40]],
+                               rtol=1e-12)
+    np.testing.assert_array_equal(network.predict_labels(out), [[[0, 0]]])
 
 
 def test_forward_deterministic():

@@ -438,6 +438,20 @@ def test_batchnorm_gradient_vs_fd():
         assert err < 1e-4
 
 
+def test_batchnorm_running_stats_after_one_training_call():
+    # channel 0 holds four 0s and four 2s (mean 1, biased variance 1, unbiased
+    # 8/7); channel 1 holds 1..8 (mean 4.5, biased variance 5.25, unbiased 6)
+    x = np.zeros((2, 2, 2, 2))
+    x[1, 0] = 2.0
+    x[:, 1] = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    rm = np.array([5.0, 0.0])
+    rv = np.array([3.0, 1.0])
+    T.batchnorm2d(T.Tensor(x), T.ones((2,)), T.zeros((2,)), rm, rv, training=True)
+    # 0.9·old + 0.1·batch
+    np.testing.assert_allclose(rm, [4.6, 0.45], rtol=1e-12)
+    np.testing.assert_allclose(rv, [2.8, 1.425], rtol=1e-12)
+
+
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 2, 4, 4))
@@ -599,6 +613,15 @@ def test_concat_negative_axis():
     np.testing.assert_array_equal(b.grad, g[:, 3:])
     with pytest.raises(T.ShapeError):
         T.concat([a, b], axis=2)
+
+
+def test_slice_axis_rejects_out_of_range_axes():
+    x = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
+    for axis in (5, 3, -4):
+        with pytest.raises(T.ShapeError, match=f"slice axis {axis} out of range"):
+            T.slice_axis(x, axis, 0, 1)
+    np.testing.assert_array_equal(T.slice_axis(x, -1, 1, 3).data, x.data[:, :, 1:3])
+    np.testing.assert_array_equal(T.slice_axis(x, -3, 1, 2).data, x.data[1:2])
 
 
 def test_concat_slice_round_trip_bit_exact():
