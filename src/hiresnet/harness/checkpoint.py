@@ -123,14 +123,18 @@ def read_entries(path):
 
 
 def save_checkpoint(store, opt, meta, path):
-    """Model parameters + buffers, optional optimizer moments, meta text."""
+    """Model parameters + buffers, optional optimizer moments, meta text. The
+    optimizer step is the int meta line `opt_step`, which a float32 entry
+    would round above 2^24, so a caller's meta may not hold that key."""
+    if "opt_step" in meta:
+        raise ValueError("meta key 'opt_step' is reserved for the optimizer step")
     entries = {}
     for name, t in store.params():
         entries[f"param.{name}"] = t.data
     for name, t in store.buffers():
         entries[f"buffer.{name}"] = t.data
     if opt is not None:
-        entries["opt.step"] = np.array(float(opt.step))
+        meta = meta | {"opt_step": int(opt.step)}
         for name, arr in opt.m.items():
             entries[f"opt.m.{name}"] = arr
         for name, arr in opt.v.items():
@@ -139,7 +143,9 @@ def save_checkpoint(store, opt, meta, path):
 
 
 def load_checkpoint(path):
-    """Returns (params, buffers, opt_entries, meta): dicts of arrays, then {key: str}."""
+    """Returns (params, buffers, opt_entries, meta): dicts of arrays, then
+    {key: str}. The optimizer step moves from meta to opt_entries["step"]
+    as an int."""
     entries, meta = read_entries(path)
     spaces = {"param": {}, "buffer": {}, "opt": {}}
     for name, arr in entries.items():
@@ -147,6 +153,12 @@ def load_checkpoint(path):
         if not dot or space not in spaces:
             raise CheckpointError(f"{path}: unknown entry namespace for {name!r}")
         spaces[space][rest] = arr
+    if "opt_step" in meta:
+        step = meta.pop("opt_step")
+        try:
+            spaces["opt"]["step"] = int(step)
+        except ValueError:
+            raise CheckpointError(f"{path}: opt_step {step!r} is not an integer") from None
     return spaces["param"], spaces["buffer"], spaces["opt"], meta
 
 

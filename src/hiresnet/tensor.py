@@ -9,6 +9,7 @@ one logical thread; detached tensors are plain immutable data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -683,10 +684,15 @@ def slice_axis(a, axis, start, stop):
 
 
 # ---------------------------------------------------------------------------
-# convolution: a patch matrix [N, groups, cg·kh·kw, Ho·Wo] of the kh·kw strided
-# tap views of the padded input meets the weight in one batched matmul, for
-# every ConvSpec. The backward rebuilds the patch matrix for grad_w rather than
-# keep it on the tape, and adds grad_x back with one slice-add per tap.
+# convolution: one patch matrix [N, groups, cg·kh·kw, Ho·Wo] per product, read
+# through a strided view of the zero-framed input, meets the weight in one
+# batched matmul. Forward and grad_w use the input's patches; the backward
+# rebuilds them rather than keep them on the tape. At stride 1, grad_x is the
+# same correlation of the upstream gradient with the spatially flipped kernel,
+# in and out channels swapped within each group (Dumoulin & Visin,
+# arXiv:1603.07285). At stride > 1 that form would correlate a zero-dilated
+# gradient, whose patch matrix is several MB for the image conv, so grad_x
+# stays one matmul and one slice-add per tap.
 
 
 @dataclass(frozen=True)
@@ -703,6 +709,33 @@ class ConvSpec:
     groups: int = 1
 
 
+def _patches(x, kernel, stride, padding, groups):
+    """[N, groups, cg·kh·kw, Ho·Wo] patch matrix of x zero-padded by `padding`:
+    row (ci, i, j) of group gi holds x[:, gi·cg + ci] at (i + sh·r, j + sw·s)
+    in column (r, s). A copy, or a read-only view of x where the reshape needs
+    none, as for a 1x1 stride-1 kernel without padding.
+
+    The strided view [N, C, kh, kw, Ho, Wo] is made by the ndarray constructor
+    on x's buffer. `np.lib.stride_tricks.as_strided` would make the same view
+    through `x.__array_interface__`, at ~4 µs a call; in moco_pretrain that
+    read also left one 0.9 MB Python-heap block allocated for the rest of
+    the process."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    if ph or pw:
+        framed = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        framed[:, :, ph:ph + h, pw:pw + w] = x
+        x = framed
+    else:
+        x = np.ascontiguousarray(x)  # the buffer of a strided gradient is not one block
+    ho = (x.shape[2] - kh) // sh + 1
+    wo = (x.shape[3] - kw) // sw + 1
+    sn, sc, sy, sx = x.strides
+    view = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, x, 0, (sn, sc, sy, sx, sh * sy, sw * sx))
+    view.flags.writeable = False
+    return view.reshape(n, groups, c // groups * kh * kw, ho * wo)
+
+
 def conv2d(x, weight, bias, spec):
     n, c, h, w = x.data.shape
     kh, kw = spec.kernel
@@ -712,35 +745,40 @@ def conv2d(x, weight, bias, spec):
     oc = spec.out_channels
     if c % groups or oc % groups:
         raise ShapeError(f"channels {c}->{oc} not divisible by groups {groups}")
-    if weight.data.shape != (oc, c // groups, kh, kw):
-        raise ShapeError(f"weight shape {weight.data.shape} != {(oc, c // groups, kh, kw)}")
+    cg, ocg = c // groups, oc // groups
+    if weight.data.shape != (oc, cg, kh, kw):
+        raise ShapeError(f"weight shape {weight.data.shape} != {(oc, cg, kh, kw)}")
     if h + 2 * ph < kh or w + 2 * pw < kw:
         raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {ph},{pw}")
     # floor semantics: trailing rows/cols that do not fill a window are dropped
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
-    k = c // groups * kh * kw
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    wg = weight.data.reshape(groups, oc // groups, k)
-    taps = [(slice(None), slice(None), slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw))
-            for i in range(kh) for j in range(kw)]
-
-    def patches():
-        return np.stack([xp[t] for t in taps], axis=2).reshape(n, groups, k, ho * wo)
-
-    out = (wg @ patches()).reshape(n, oc, ho, wo)
+    xd = x.data
+    wg = weight.data.reshape(groups, ocg, cg * kh * kw)
+    out = (wg @ _patches(xd, spec.kernel, spec.stride, spec.padding, groups)).reshape(n, oc, ho, wo)
     has_bias = bias is not None
     if has_bias:
-        out = out + bias.data.reshape(1, oc, 1, 1)
+        out += bias.data.reshape(1, oc, 1, 1)
 
     def bwd(g):
-        gg = g.reshape(n, groups, oc // groups, ho * wo)
-        grad_w = (gg @ np.swapaxes(patches(), 2, 3)).sum(axis=0).reshape(oc, -1, kh, kw)
-        gcols = (np.swapaxes(wg, 1, 2) @ gg).reshape(n, c, kh * kw, ho, wo)
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        for ti, t in enumerate(taps):
-            gxp[t] += gcols[:, :, ti]
-        gx = gxp[:, :, ph:ph + h, pw:pw + w]
+        gg = g.reshape(n, groups, ocg, ho * wo)
+        grad_w = (gg @ np.swapaxes(_patches(xd, spec.kernel, spec.stride, spec.padding, groups),
+                                   2, 3)).sum(axis=0).reshape(oc, cg, kh, kw)
+        if sh == sw == 1:
+            # a padding above k - 1 leaves a border of g that no input pixel reaches
+            ch, cw = max(ph - kh + 1, 0), max(pw - kw + 1, 0)
+            flipped = (wg.reshape(groups, ocg, cg, kh, kw)[..., ::-1, ::-1]
+                       .swapaxes(1, 2).reshape(groups, cg, ocg * kh * kw))
+            gx = (flipped @ _patches(g[:, :, ch:ho - ch, cw:wo - cw], spec.kernel, (1, 1),
+                                     (kh - 1 - ph + ch, kw - 1 - pw + cw), groups)
+                  ).reshape(n, c, h, w)
+        else:
+            gcols = (np.swapaxes(wg, 1, 2) @ gg).reshape(n, c, kh, kw, ho, wo)
+            gxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gcols[:, :, i, j]
+            gx = gxp[:, :, ph:ph + h, pw:pw + w]
         return (gx, grad_w, g.sum(axis=(0, 2, 3))) if has_bias else (gx, grad_w)
 
     return _record(out, (x, weight, bias) if has_bias else (x, weight), bwd)
@@ -797,10 +835,13 @@ def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, m
 # resampling / pooling
 
 
-def bilinear_matrix(n_in, n_out):
+@functools.cache
+def bilinear_matrix(n_in, n_out, dtype):
     """[n_out, n_in] half-pixel (align_corners=False) interpolation weights:
     row i blends the two samples around (i + 0.5) n_in / n_out - 0.5, each
-    index clamped to [0, n_in - 1], so a border row repeats its edge sample."""
+    index clamped to [0, n_in - 1], so a border row repeats its edge sample.
+    Computed in float64 and cast to `dtype`. Cached and shared by every
+    caller, so the array is not writable."""
     rows = np.arange(n_out)
     src = (rows + 0.5) / (n_out / n_in) - 0.5
     lo = np.floor(src).astype(np.int64)
@@ -808,6 +849,8 @@ def bilinear_matrix(n_in, n_out):
     a = np.zeros((n_out, n_in))
     a[rows, np.clip(lo, 0, n_in - 1)] = 1.0 - frac
     a[rows, np.clip(lo + 1, 0, n_in - 1)] += frac
+    a = a.astype(dtype)
+    a.setflags(write=False)
     return a
 
 
@@ -817,8 +860,8 @@ def bilinear_upsample(x, scale):
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
     n, c, h, w = x.data.shape
-    a_h = bilinear_matrix(h, h * scale).astype(x.data.dtype)
-    a_w = bilinear_matrix(w, w * scale).astype(x.data.dtype)
+    a_h = bilinear_matrix(h, h * scale, x.data.dtype)
+    a_w = bilinear_matrix(w, w * scale, x.data.dtype)
     out = a_h @ x.data @ a_w.T
 
     def bwd(g):

@@ -541,3 +541,24 @@ def test_checkpoint_optimizer_state_round_trip(tmp_path):
     _, _, opt_entries, _ = ckpt.load_checkpoint(path)
     assert float(opt_entries["step"]) == 7.0
     np.testing.assert_array_equal(opt_entries["m.layer.weight"], 0.25)
+
+
+def test_checkpoint_optimizer_step_round_trips_exactly(tmp_path):
+    # 2^24 + 1 is the first step a float32 cannot hold
+    path = tmp_path / "model.ckpt"
+    ckpt.save_checkpoint(small_store(), OptimState(step=16777217), {"epochs": 3}, path)
+    _, _, opt_entries, meta = ckpt.load_checkpoint(path)
+    assert type(opt_entries["step"]) is int
+    assert opt_entries["step"] == 16777217
+    assert meta == {"epochs": "3"}
+
+
+def test_checkpoint_meta_may_not_hold_the_optimizer_step(tmp_path):
+    path = tmp_path / "model.ckpt"
+    for opt in (OptimState(step=3), None):
+        with pytest.raises(ValueError, match="opt_step"):
+            ckpt.save_checkpoint(small_store(), opt, {"opt_step": 5}, path)
+    assert not path.exists()
+    ckpt.write_entries(path, {}, {"opt_step": 1.5})
+    with pytest.raises(ckpt.CheckpointError, match="opt_step '1.5' is not an integer"):
+        ckpt.load_checkpoint(path)

@@ -189,6 +189,26 @@ def test_cea_single_wrong_pixel_hand_value():
     assert abs(float(loss.data) - expect) < 1e-9
 
 
+def test_cea_false_positive_inside_predicted_blob_hand_value():
+    # class-1 square with a one-pixel hole in the truth, predicted solid: the
+    # error sits 3 erosions deep in S_c and outside T_c, so only DT(S_c)^beta
+    # weights it
+    labels = np.zeros((1, 8, 8), dtype=np.int64)
+    labels[0, 2:7, 2:7] = 1
+    labels[0, 4, 4] = 0
+    probs_np = np.zeros((1, 2, 8, 8))
+    probs_np[0, 1, 2:7, 2:7] = 1.0
+    probs_np[0, 0] = 1.0 - probs_np[0, 1]
+    cfg = LossConfig(dt_cap=20)
+    s_mask = (probs_np[0, 1] >= 0.5).astype(np.uint8)
+    assert exact_dt(s_mask, cfg.dt_cap)[4, 4] == 3
+    assert exact_dt((labels[0] == 1).astype(np.uint8), cfg.dt_cap)[4, 4] == 0
+
+    loss, _ = cea_loss(Tensor(probs_np), labels, cfg, np.random.default_rng(0),
+                       forced_class=1)
+    assert abs(float(loss.data) - 3.0 ** cfg.hd_beta / 64.0) < 1e-9
+
+
 def test_cea_fixed_seed_reproducible():
     rng_labels = np.random.default_rng(7)
     labels = rng_labels.integers(0, 4, size=(2, 8, 8))

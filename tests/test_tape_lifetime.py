@@ -150,3 +150,27 @@ def test_attention_backward_keeps_no_window_sized_array(monkeypatch):
     sizes = [a.size for a in held_by(node.backward, np.ndarray)]
     assert sizes
     assert max(sizes) < b * heads * t * t
+
+
+@pytest.mark.parametrize("shape, spec", [
+    ((4, 8, 16, 16), T.ConvSpec(8, (5, 5), (1, 1), (2, 2), groups=8)),
+    ((4, 3, 64, 64), T.ConvSpec(8, (3, 3), (2, 2), (1, 1))),
+    ((2, 4, 9, 7), T.ConvSpec(6, (3, 2), (1, 2), (0, 1), groups=2)),
+], ids=["depthwise", "strided", "mixed-stride"])
+def test_conv_backward_keeps_no_patch_matrix(shape, spec, monkeypatch):
+    # the backward rebuilds the patch matrix; it never keeps one on the tape
+    tapes = record_tapes(monkeypatch, keep=True)
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(spec.out_channels, shape[1] // spec.groups, *spec.kernel))
+                 .astype(np.float32), requires_grad=True)
+    b = T.Tensor(np.zeros(spec.out_channels, dtype=np.float32), requires_grad=True)
+    with T.Tape():
+        y = T.conv2d(x, w, b, spec)
+    patch_size = shape[0] * shape[1] * spec.kernel[0] * spec.kernel[1] * y.shape[2] * y.shape[3]
+    (tape,) = tapes
+    (node,) = [n for n in tape.nodes if n.backward is not None]
+    sizes = [a.size for a in held_by(node.backward, np.ndarray)]
+    assert sizes
+    assert max(sizes) < patch_size
+    assert not held_by(node.backward, T.Tensor)

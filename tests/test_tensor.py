@@ -381,6 +381,54 @@ def test_depthwise_conv_gradient_vs_fd():
         assert err < 1e-5, spec
 
 
+def fuzz_conv_cases(count=40):
+    """Seeded (input shape, ConvSpec) pairs: kernels 1-5 per axis, strides
+    1-3 per axis (every third case stride 1, the next mixed (1, 2)), padding
+    0-2 per axis, groups of 1, a middle divisor or depth-wise, any extent the
+    kernel fits, batches of 0-2."""
+    cases = []
+    for seed in range(count):
+        rng = np.random.default_rng(500 + seed)
+        kh, kw = (int(v) for v in rng.integers(1, 6, size=2))
+        ph, pw = (int(v) for v in rng.integers(0, 3, size=2))
+        stride = ((1, 1), (1, 2), tuple(int(v) for v in rng.integers(1, 4, size=2)))[seed % 3]
+        c = int(rng.choice([4, 6]))
+        groups = (1, 2, c)[seed // 3 % 3]
+        oc = c if groups == c else groups * int(rng.integers(1, 4))
+        h = max(kh - 2 * ph, 1) + int(rng.integers(0, 6))
+        w = max(kw - 2 * pw, 1) + int(rng.integers(0, 6))
+        cases.append(((int(rng.integers(0, 3)), c, h, w),
+                      T.ConvSpec(oc, (kh, kw), stride, (ph, pw), groups)))
+    return cases
+
+
+def test_conv_fuzz_matches_reference_and_finite_differences():
+    cases = fuzz_conv_cases()
+    # both grad_x paths, and the shapes that stress the indexing
+    assert any(spec.stride == (1, 1) for _, spec in cases)
+    assert any(spec.stride == (1, 2) for _, spec in cases)
+    assert any(min(spec.stride) > 1 for _, spec in cases)
+    assert any(spec.kernel[0] != spec.kernel[1] for _, spec in cases)
+    assert any(spec.padding[0] > spec.kernel[0] - 1 for _, spec in cases)
+    assert any((h + 2 * spec.padding[0] - spec.kernel[0]) % spec.stride[0]
+               for (_, _, h, _), spec in cases)  # the floor drops rows
+    assert {spec.groups == shape[1] for shape, spec in cases} == {True, False}
+    assert any(1 < spec.groups < shape[1] for shape, spec in cases)
+    assert {shape[0] for shape, _ in cases} == {0, 1, 2}
+    for i, (shape, spec) in enumerate(cases):
+        rng = np.random.default_rng(i)
+        x = rand(rng, shape)
+        w = rand(rng, (spec.out_channels, shape[1] // spec.groups, *spec.kernel))
+        b = rand(rng, (spec.out_channels,))
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), spec).data
+        ref = conv_reference(x, w, b, spec.stride, spec.padding, spec.groups)
+        assert out.shape == ref.shape, (shape, spec)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12, err_msg=f"{shape} {spec}")
+        err = check_gradients(
+            lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], spec) ** 2.0), [x, w, b], rng)
+        assert err < 1e-5, (shape, spec)
+
+
 # ---------------------------------------------------------------------------
 # batch norm
 
@@ -508,6 +556,17 @@ def test_upsample_matches_half_pixel_formula():
         out = T.bilinear_upsample(T.Tensor(img[None, None]), scale).data[0, 0]
         np.testing.assert_allclose(out, bilinear_reference(img, scale), rtol=1e-6,
                                    err_msg=f"{img.shape} map at scale {scale}")
+
+
+def test_upsample_matrices_are_cached_read_only_per_dtype():
+    a = T.bilinear_matrix(3, 6, np.dtype(np.float32))
+    assert T.bilinear_matrix(3, 6, np.dtype(np.float32)) is a
+    assert a.dtype == np.float32
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    b = T.bilinear_matrix(3, 6, np.dtype(np.float64))
+    assert b.dtype == np.float64 and not b.flags.writeable
+    np.testing.assert_array_equal(a, b.astype(np.float32))
 
 
 def test_upsample_rejects_bad_scale():
