@@ -1,5 +1,6 @@
 """Network building blocks: inverted bottleneck, SE channel attention,
-window multi-head self-attention over scalar tokens, and the information
+window multi-head self-attention over scalar tokens (`wmhsa`: one
+`T.window_attention` op from block input to output), and the information
 aggregation block that composes them.
 
 All blocks preserve [N, C, H, W] shape; resampling lives in the network
@@ -84,41 +85,6 @@ def se_attention(x, store, prefix, ratio):
 
 # ---------------------------------------------------------------------------
 # window attention on scalar tokens
-#
-# The feature map is cut into L x L windows with channels folded into the
-# batch axis, so every window contributes L^2 scalar tokens. Each head has
-# learned Q/K/V vectors of head_dim (weight and bias, shared across channels
-# and windows) and an output projection merges the heads back to one scalar.
-# Because the tokens are scalars, this reduces exactly to a few per-head
-# scalars, and the [B, T, heads*head_dim] lift is never built:
-#
-#   q_i.k_j / sqrt(d) = (alpha x_i + gamma) x_j + (terms constant in j),
-#     alpha = w_q.w_k / sqrt(d),  gamma = b_q.w_k / sqrt(d)
-#
-# and terms constant along the softmax axis cancel, so a key bias would have
-# no effect and there is none. Attention rows sum to 1, so the output is
-#
-#   out_i = sum_h beta_h (P_h x)_i + delta,
-#     beta = w_v.w_o per head,  delta = b_v.w_o + b_o
-#
-# T.scalar_token_attention computes the first term as one fused op.
-
-
-def window_partition(x, window):
-    n, c, h, w = x.shape
-    if h % window or w % window:
-        raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
-    gh, gw = h // window, w // window
-    t = T.reshape(x, (n, c, gh, window, gw, window))
-    t = T.transpose(t, (0, 1, 2, 4, 3, 5))
-    return T.reshape(t, (n * c * gh * gw, window, window))
-
-
-def window_merge(t, n, c, h, w, window):
-    gh, gw = h // window, w // window
-    t = T.reshape(t, (n, c, gh, gw, window, window))
-    t = T.transpose(t, (0, 1, 2, 4, 3, 5))
-    return T.reshape(t, (n, c, h, w))
 
 
 def unit_uniform(rng, shape, dtype):
@@ -131,30 +97,12 @@ def out_uniform(rng, shape, dtype):
 
 
 def wmhsa(x, store, prefix, spec: WindowSpec, return_attn=False):
-    n, c, h, w = x.shape
-    L, heads, dh = spec.window, spec.heads, spec.head_dim
-    tok = T.reshape(window_partition(x, L), (-1, L * L))
-
-    def per_head(name, init):
-        return T.reshape(store.get(f"{prefix}.{name}", (heads * dh,), init), (heads, dh))
-
-    q_w, q_b = per_head("q.weight", unit_uniform), per_head("q.bias", zeros)
-    k_w = per_head("k.weight", unit_uniform)
-    v_w, v_b = per_head("v.weight", unit_uniform), per_head("v.bias", zeros)
-    out_w = per_head("out.weight", out_uniform)
+    hd = (spec.heads * spec.head_dim,)
+    proj = [store.get(f"{prefix}.{name}", hd, init) for name, init in (
+        ("q.weight", unit_uniform), ("q.bias", zeros), ("k.weight", unit_uniform),
+        ("v.weight", unit_uniform), ("v.bias", zeros), ("out.weight", out_uniform))]
     out_b = store.get(f"{prefix}.out.bias", (1,), zeros)
-    scale = 1.0 / math.sqrt(dh)
-    alpha = T.tsum(q_w * k_w, axis=-1) * scale
-    gamma = T.tsum(q_b * k_w, axis=-1) * scale
-    beta = T.tsum(v_w * out_w, axis=-1)
-    delta = T.tsum(v_b * out_w) + out_b
-    res = T.scalar_token_attention(tok, alpha, gamma, beta, return_attn=return_attn)
-    y, attn = res if return_attn else (res, None)
-    out = window_merge(T.reshape(y + delta, (-1, L, L)), n, c, h, w, L)
-    out = out + x  # inner skip
-    if return_attn:
-        return out, attn
-    return out
+    return T.window_attention(x, *proj, out_b, spec.window, spec.heads, return_attn=return_attn)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,10 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
           out_path=None, log_path=None, warmup_epochs=None, use_augment=True,
           quiet=False):
     """Full training run on the synthetic dataset. Returns a summary dict."""
+    for name, size in (("batch_size", batch_size), ("train_count", train_count),
+                       ("val_count", val_count)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     loss_config = loss_config or LossConfig()
     train_set = synth_dataset(SynthSpec(seed=data_seed, count=train_count,
                                         hw=config.input_hw, num_classes=config.num_classes))

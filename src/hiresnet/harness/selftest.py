@@ -33,9 +33,9 @@ def _grad_suite(rng):
     spec = ConvSpec(3, (3, 3), (2, 2), (1, 1))
     worst = max(worst, check_gradients(
         lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], spec) ** 2.0), [x, w, b], rng))
-    tok, per_head = rng.normal(size=(3, 9)), [rng.normal(size=(2,)) for _ in range(3)]
+    attn = [rng.normal(size=s) for s in [(1, 2, 4, 4), *[(4,)] * 6, (1,)]]  # 2 heads of 2
     worst = max(worst, check_gradients(
-        lambda ts: T.tsum(T.scalar_token_attention(*ts) ** 2.0), [tok, *per_head], rng))
+        lambda ts: T.tsum(T.window_attention(*ts, window=2, heads=2) ** 2.0), attn, rng))
     dw = ConvSpec(2, (5, 5), padding=(2, 2), groups=2)  # the IA blocks' depth-wise conv
     x, w = rng.normal(size=(1, 2, 5, 5)), rng.normal(size=(2, 1, 5, 5))
     worst = max(worst, check_gradients(

@@ -35,6 +35,11 @@ class PretrainConfig:
     flip_prob: float = 0.5
     ratios: tuple = SCALE_RATIOS
 
+    def __post_init__(self):
+        for name in ("width", "proj_dim", "queue_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class MoCoState:

@@ -41,6 +41,11 @@ class NetworkConfig:
     def __post_init__(self):
         if len(self.channels) != 3 or len(self.blocks) != 3 or len(self.modules) != 2:
             raise ValueError("expected 3 channel widths, 3 block counts, 2 module counts")
+        for name in ("channels", "window", "heads", "head_dim", "se_ratio", "dw_kernel"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.dw_kernel % 2 == 0:
+            raise ValueError(f"dw_kernel must be odd, got {self.dw_kernel}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.block_kind not in ("ia", "basic"):

@@ -487,7 +487,7 @@ def softmax(a, axis):
     return _record(out, (a,), bwd)
 
 
-# scalar_token_attention builds exp(scores) in blocks of windows of at most
+# window_attention builds exp(scores) in blocks of windows of at most
 # this many bytes. 1 MiB holds a whole DESK call (512 windows, 2 heads,
 # 16 tokens, float32) in one block. At 256 KiB a DESK eval step took ~10x
 # the minor page faults (~450 against ~45 per step over a 10 s run).
@@ -511,40 +511,69 @@ def _exp_score_blocks(lhs, rhs):
         yield windows, e
 
 
-def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
-    """Multi-head softmax attention over windows of scalar tokens, fused.
+def window_attention(x, q_w, q_b, k_w, v_w, v_b, out_w, out_b, window, heads,
+                     return_attn=False):
+    """Window multi-head self-attention over scalar tokens, inner skip
+    included, as one op: x [N, C, H, W] in, the same shape out.
 
-    tok is [B, T]; alpha, gamma, beta are per-head [H]. With u = alpha*x_i +
-    gamma, head h attends with P = softmax_j(u_i x_j) and the result is
-    y_i = sum_h beta_h (P x)_i, shape [B, T]. With return_attn, P
-    [B, H, T, T] is returned beside y as a constant tensor.
+    x is cut into window x window tiles, channels folded into the batch axis:
+    B windows of T = window² scalar tokens. q_w, q_b, k_w, v_w, v_b and out_w
+    are flat [heads·d], d = head_dim, shared across channels and windows;
+    out_b is [1]. Because the tokens are scalars, this reduces exactly to four
+    per-head scalars, and the [B, T, heads·d] lift is never built:
+
+      q_i·k_j / √d = (α x_i + γ) x_j + (terms constant in j),
+        α = q_w·k_w / √d,  γ = q_b·k_w / √d
+
+    Terms constant along the softmax axis cancel, so a key bias would have
+    no effect and there is none. With u = α x_i + γ, head h attends with
+    P_h = softmax_j(u_i x_j); its rows sum to 1, so the op returns
+
+      x + merge(Σ_h β_h P_h x + δ),  β = v_w·out_w,  δ = Σ v_b·out_w + out_b
+
+    and, with return_attn, P [B, heads, T, T] beside it as a constant tensor.
 
     The row max is exact without scanning the scores: the larger of
     u_i max(x) and u_i min(x). Tokens are centered per window first (softmax
     is invariant to that shift), which keeps the products small. Backward
-    needs only P, r = P x and q = P x^2 (taken of the centered tokens):
-    du = beta g (q - r^2), and dx is one P^T [beta g, u beta g, u beta g r]
-    product plus alpha du.
+    needs only P, r = P x and q = P x² (of the centered tokens):
+    du = β g (q - r²), the token gradient is one P^T [β g, u β g, u β g r]
+    product plus α du, and the gradients of α, γ, β and δ (Σ g) are chained
+    by hand to the seven projections.
 
-    The unnormalized P, e = exp(scores), is built a block of windows at a
-    time: as many as fit in _ATTN_BLOCK_BYTES (1 MiB; at least one), in one
-    buffer per call. The forward keeps only the moments e @ [1, x, x^2]; the
-    backward recomputes each block's e from the saved rank-2 factors, so no
-    array of B*H*T^2 elements outlives either pass. Each window is the same
-    matmul as when e is built whole, so results do not depend on the block
-    size.
+    e = exp(scores) is built in blocks of windows (_exp_score_blocks). The
+    forward keeps only the moments e @ [1, x, x²]; the backward recomputes
+    each block's e from the saved rank-2 factors, so no array of B·heads·T²
+    elements outlives either pass. Each window is the same matmul as when e
+    is built whole, so results do not depend on the block size.
     """
-    x = tok.data
-    if x.ndim != 2 or any(p.data.ndim != 1 for p in (alpha, gamma, beta)):
-        raise ShapeError(f"expected tokens [B, T] and per-head vectors, got {x.shape}")
-    b, t = x.shape
-    heads = alpha.data.shape[0]
-    if gamma.data.shape != (heads,) or beta.data.shape != (heads,):
-        raise ShapeError("alpha, gamma and beta must have one entry per head")
-    al, ga, be = alpha.data, gamma.data, beta.data
-    x_mean = x.mean(axis=1, keepdims=True)
-    xc = x - x_mean                                                         # [B, T]
-    u = al[:, None] * x[:, None, :] + ga[:, None]                           # [B, H, T]
+    proj = [p.data for p in (q_w, q_b, k_w, v_w, v_b, out_w)]
+    hd = q_w.data.size
+    if {p.shape for p in proj} != {(hd,)} or heads < 1 or hd % heads or out_b.data.shape != (1,):
+        raise ShapeError(f"expected six [heads*head_dim] projections for {heads} heads and "
+                         f"out_b (1,), got {[p.shape for p in proj]} and {out_b.data.shape}")
+    n, c, h, w = x.data.shape
+    if h % window or w % window:
+        raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
+    L, gh, gw, dh = window, h // window, w // window, hd // heads
+
+    def cut(a):  # [N, C, H, W] -> [B, T]
+        return a.reshape(n, c, gh, L, gw, L).transpose(0, 1, 2, 4, 3, 5).reshape(-1, L * L)
+
+    def merge(a):  # [B, T] -> [N, C, H, W]
+        return a.reshape(n, c, gh, gw, L, L).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+    qw, qb, kw, vw, vb, ow = (p.reshape(heads, dh) for p in proj)
+    scale = 1.0 / math.sqrt(dh)
+    al = np.sum(qw * kw, axis=-1) * scale
+    ga = np.sum(qb * kw, axis=-1) * scale
+    be = np.sum(vw * ow, axis=-1)
+    delta = np.sum(vb * ow) + out_b.data
+    tok = cut(x.data)
+    b, t = tok.shape
+    x_mean = tok.mean(axis=1, keepdims=True)
+    xc = tok - x_mean                                                       # [B, T]
+    u = al[:, None] * tok[:, None, :] + ga[:, None]                         # [B, H, T]
     row_max = np.maximum(u * xc.max(axis=1)[:, None, None], u * xc.min(axis=1)[:, None, None])
     # scores minus the row max, u_i xc_j - row_max_i, as one rank-2 product
     lhs = np.stack([u, -row_max], axis=-1).reshape(b, heads * t, 2)
@@ -560,10 +589,11 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
     mom = mom.reshape(b, heads, t, 3)
     z = mom[..., 0]
     r = mom[..., 1] / z                                                     # P xc
-    out = np.einsum("h,bht->bt", be, r) + be.sum() * x_mean
+    y = np.einsum("h,bht->bt", be, r) + be.sum() * x_mean + delta
 
     def bwd(g):
-        bg = be[:, None] * g[:, None, :]                                    # [B, H, T]
+        gt = cut(g)
+        bg = be[:, None] * gt[:, None, :]                                   # [B, H, T]
         du = bg * (mom[..., 2] / z - r * r)
         ubg = u * bg
         # P^T V = e^T (V / z), contracting heads and query tokens in one matmul
@@ -572,15 +602,18 @@ def scalar_token_attention(tok, alpha, gamma, beta, return_attn=False):
         for windows, e in _exp_score_blocks(lhs, rhs):
             np.matmul(np.swapaxes(e, 1, 2), v[windows], out=pv[windows])
         gx = pv[..., 0] + xc * pv[..., 1] - pv[..., 2] + np.einsum("h,bht->bt", al, du)
-        g_alpha = np.einsum("bht,bt->h", du, x)
-        g_gamma = du.sum(axis=(0, 2))
-        g_beta = np.einsum("bt,bht->h", g, r) + np.sum(g * x_mean)
-        return gx, g_alpha, g_gamma, g_beta
+        g_al = np.einsum("bht,bt->h", du, tok)[:, None] * scale
+        g_ga = du.sum(axis=(0, 2))[:, None] * scale
+        g_be = (np.einsum("bt,bht->h", gt, r) + np.sum(gt * x_mean))[:, None]
+        g_de = np.sum(g)
+        per_head = (g_al * kw, g_ga * kw, g_al * qw + g_ga * qb, g_be * ow, g_de * ow,
+                    g_be * vw + g_de * vb)
+        return merge(gx) + g, *(p.reshape(-1) for p in per_head), np.reshape(g_de, (1,))
 
-    y = _record(out, (tok, alpha, gamma, beta), bwd)
+    out = _record(merge(y) + x.data, (x, q_w, q_b, k_w, v_w, v_b, out_w, out_b), bwd)
     if return_attn:
-        return y, Tensor(p_full.reshape(b, heads, t, t) / z[..., None])
-    return y
+        return out, Tensor(p_full.reshape(b, heads, t, t) / z[..., None])
+    return out
 
 
 def log_softmax(a, axis):

@@ -106,21 +106,38 @@ def test_se_gradients_vs_fd():
 # window attention
 
 
+def window_partition(x, window):
+    """[N, C, H, W] -> [N·C·(H/window)·(W/window), window, window] on the tape."""
+    n, c, h, w = x.shape
+    gh, gw = h // window, w // window
+    t = T.reshape(x, (n, c, gh, window, gw, window))
+    t = T.transpose(t, (0, 1, 2, 4, 3, 5))
+    return T.reshape(t, (n * c * gh * gw, window, window))
+
+
+def window_merge(t, n, c, h, w, window):
+    """The inverse of window_partition."""
+    gh, gw = h // window, w // window
+    t = T.reshape(t, (n, c, gh, gw, window, window))
+    t = T.transpose(t, (0, 1, 2, 4, 3, 5))
+    return T.reshape(t, (n, c, h, w))
+
+
 def test_window_reshape_round_trip():
     rng = np.random.default_rng(6)
     x = T.Tensor(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
-    win = blocks.window_partition(x, 2)
+    win = window_partition(x, 2)
     assert win.shape == (8, 2, 2)
-    back = blocks.window_merge(win, 1, 2, 4, 4, 2)
+    back = window_merge(win, 1, 2, 4, 4, 2)
     np.testing.assert_array_equal(back.data, x.data)
 
 
 def test_window_partition_batched_round_trip():
     rng = np.random.default_rng(7)
     x = T.Tensor(rng.normal(size=(3, 5, 8, 12)).astype(np.float32))
-    win = blocks.window_partition(x, 4)
+    win = window_partition(x, 4)
     assert win.shape == (3 * 5 * 2 * 3, 4, 4)
-    back = blocks.window_merge(win, 3, 5, 8, 12, 4)
+    back = window_merge(win, 3, 5, 8, 12, 4)
     np.testing.assert_array_equal(back.data, x.data)
 
 
@@ -170,13 +187,24 @@ def test_wmhsa_gradients_vs_fd():
         assert err < 1e-4
 
 
+def test_wmhsa_records_one_tape_node():
+    rng = np.random.default_rng(13)
+    spec = WindowSpec(2, 2, 3)
+    store = make_store(lambda s: blocks.wmhsa(empty(2), s, "attn", spec), rng)
+    x = T.Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
+    with T.Tape() as tape:
+        blocks.wmhsa(x, store, "attn", spec)
+        blocks.wmhsa(x, store, "attn", spec)
+    assert sum(node.backward is not None for node in tape.nodes) == 2
+
+
 def lifted_wmhsa(x, store, prefix, spec, k_bias=None):
     """Reference window attention: every scalar token lifted to per-head
     Q/K/V vectors, scores as a batched matmul, heads merged by the output
     projection. `k_bias` adds a key bias the store does not hold."""
     n, c, h, w = x.shape
     L, heads, dh = spec.window, spec.heads, spec.head_dim
-    tok = T.reshape(blocks.window_partition(x, L), (-1, L * L, 1))
+    tok = T.reshape(window_partition(x, L), (-1, L * L, 1))
     b, t = tok.shape[0], L * L
 
     def lift(name, bias):
@@ -192,7 +220,7 @@ def lifted_wmhsa(x, store, prefix, spec, k_bias=None):
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, t, heads * dh))
     out = T.tsum(ctx * store[f"{prefix}.out.weight"], axis=-1, keepdims=True)
     out = out + store[f"{prefix}.out.bias"]
-    out = blocks.window_merge(T.reshape(out, (b, L, L)), n, c, h, w, L)
+    out = window_merge(T.reshape(out, (b, L, L)), n, c, h, w, L)
     return out + x
 
 

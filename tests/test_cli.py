@@ -69,6 +69,36 @@ def test_bad_ia_activations_is_usage_error(tmp_path, capsys, acts):
     assert acts.split(",")[-1] in lines[0] and "gelu, silu, relu, sigmoid" in lines[0]
 
 
+def assert_one_error_line(err, name):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}"), err
+
+
+@pytest.mark.parametrize("line", ["window = 0", "window = -4", "heads = 0", "head_dim = 0",
+                                  "se_ratio = 0", "channels = 8,0,32", "dw_kernel = 4",
+                                  "dw_kernel = -1"])
+def test_bad_network_size_is_usage_error(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(path), "--epochs", "0",
+                            "--train-count", "1", "--val-count", "1"], capsys)
+    assert code == 1
+    assert_one_error_line(err, line.split(" = ")[0])
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["pretrain", "--steps", "1", "--queue", "0"], "queue_size"),
+    (["pretrain", "--steps", "1", "--width", "0"], "width"),
+    (["train", "--epochs", "1", "--batch-size", "0"], "batch_size"),
+    (["train", "--epochs", "0", "--val-count", "0"], "val_count"),
+    (["train", "--epochs", "1", "--train-count", "0"], "train_count"),
+])
+def test_size_below_one_is_usage_error(capsys, argv, name):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert_one_error_line(err, name)
+
+
 def test_selftest_exits_zero(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0

@@ -54,8 +54,8 @@ def every_op_step():
         p = T.log(T.softmax(p, axis=1)) + T.log_softmax(p ** 2.0, axis=1)
         p = T.matmul(T.transpose(p, (1, 0)), p)                       # [4, 4]
         p = T.concat([T.slice_axis(p, 1, 0, 2), T.slice_axis(p, 1, 2, 4)], axis=1)
-        tok = T.reshape(p, (2, 8))
-        p = T.scalar_token_attention(tok, leaf(2), leaf(2), leaf(2))
+        p = T.reshape(p, (1, 2, 2, 4))
+        p = T.window_attention(p, *(leaf(4) for _ in range(6)), leaf(1), window=2, heads=2)
         T.backward(T.tsum(p) + T.tmean(p))
 
 
@@ -140,16 +140,20 @@ def test_attention_backward_keeps_no_window_sized_array(monkeypatch):
     tapes = record_tapes(monkeypatch, keep=True)
     rng = np.random.default_rng(3)
     b, t, heads = 256, 49, 2
-    tok = T.Tensor(rng.normal(size=(b, t)).astype(np.float32), requires_grad=True)
-    alpha, gamma, beta = (T.Tensor(rng.normal(size=heads).astype(np.float32), requires_grad=True)
-                          for _ in range(3))
+
+    def leaf(*shape):
+        return T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    x = leaf(2, 8, 28, 28)  # 2·8·4·4 windows of 7x7 tokens
     with T.Tape():
-        T.scalar_token_attention(tok, alpha, gamma, beta)
+        T.window_attention(x, *(leaf(heads * 4) for _ in range(6)), leaf(1), window=7,
+                           heads=heads)
     (tape,) = tapes
     (node,) = [n for n in tape.nodes if n.backward is not None]
     sizes = [a.size for a in held_by(node.backward, np.ndarray)]
     assert sizes
     assert max(sizes) < b * heads * t * t
+    assert not held_by(node.backward, T.Tensor)
 
 
 @pytest.mark.parametrize("shape, spec", [

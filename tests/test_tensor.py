@@ -2,6 +2,7 @@
 layout round trips, and stability properties."""
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -237,21 +238,30 @@ def test_log_softmax_gradient_vs_fd():
     assert err < 1e-6
 
 
-def test_scalar_token_attention_gradient_vs_fd():
+def attention_inputs(rng, hd=6, out_b=1):
+    """x [1, 2, 4, 4], six [hd] projections and an [out_b] output bias."""
+    return [rand(rng, (1, 2, 4, 4)), *(rand(rng, (hd,)) for _ in range(6)), rand(rng, (out_b,))]
+
+
+def test_window_attention_gradient_vs_fd():
     rng = np.random.default_rng(7)
-    tok, alpha, gamma, beta = rand(rng, (3, 5)), rand(rng, (2,)), rand(rng, (2,)), rand(rng, (2,))
-    tgt = T.Tensor(rand(rng, (3, 5)))
+    arrays = attention_inputs(rng)
+    tgt = T.Tensor(rand(rng, (1, 2, 4, 4)))
     err = check_gradients(
-        lambda ts: T.tsum(T.scalar_token_attention(*ts) * tgt), [tok, alpha, gamma, beta], rng,
-        max_coords=15)
+        lambda ts: T.tsum(T.window_attention(*ts, window=2, heads=2) * tgt), arrays, rng,
+        max_coords=8)
     assert err < 1e-6
 
 
-def test_scalar_token_attention_rejects_mismatched_heads():
-    tok = T.Tensor(np.zeros((2, 4)))
-    with pytest.raises(T.ShapeError):
-        T.scalar_token_attention(tok, T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3)),
-                                 T.Tensor(np.zeros(2)))
+def test_window_attention_rejects_mismatched_projections():
+    rng = np.random.default_rng(8)
+    disagreeing = attention_inputs(rng)
+    disagreeing[3] = rand(rng, (4,))
+    cases = {"(4,)": disagreeing, "(5,)": attention_inputs(rng, hd=5),
+             "(2,)": attention_inputs(rng, out_b=2)}
+    for shape, arrays in cases.items():
+        with pytest.raises(T.ShapeError, match=re.escape(shape)):
+            T.window_attention(*map(T.Tensor, arrays), window=2, heads=2)
 
 
 # ---------------------------------------------------------------------------
