@@ -31,13 +31,13 @@ class WindowSpec:
     head_dim: int
 
 
-def apply_bn(x, store, name, training, momentum=0.1):
+def apply_bn(x, store, name, training):
     c = (x.shape[1],)
     return T.batchnorm2d(x, store.get(f"{name}.gamma", c, ones),
                          store.get(f"{name}.beta", c, zeros),
-                         store.get(f"{name}.running_mean", c, zeros, buffer=True),
-                         store.get(f"{name}.running_var", c, ones, buffer=True),
-                         training=training, momentum=momentum)
+                         store.get(f"{name}.running_mean", c, zeros, buffer=True).data,
+                         store.get(f"{name}.running_var", c, ones, buffer=True).data,
+                         training=training)
 
 
 def apply_conv(x, store, name, spec):

@@ -72,14 +72,13 @@ def check_gradients(build, arrays, rng, eps=1e-6, max_coords=6):
                                  max_coords=max_coords)
 
 
-def check_store_gradients(forward, store, x_arrays, rng, eps=1e-6, max_coords=4,
-                          param_filter=None):
+def check_store_gradients(forward, store, x_arrays, rng, eps=1e-6, max_coords=4):
     """Gradient check for functions parameterized by a ParamStore (float64).
 
     `forward(x_tensors) -> scalar Tensor` reads parameters from `store`.
-    Checks the inputs and every learnable store entry (optionally filtered by
-    `param_filter(name)`), perturbing the stored buffers in place for the
-    finite-difference passes. Returns the max relative error.
+    Checks the inputs and every learnable store entry, perturbing the stored
+    buffers in place for the finite-difference passes. Returns the max
+    relative error.
     """
     from . import tensor as T
 
@@ -101,8 +100,6 @@ def check_store_gradients(forward, store, x_arrays, rng, eps=1e-6, max_coords=4,
         _, num = numerical_gradient(value, arr, eps=eps, coords=coords)
         worst = max(worst, masked_rel_error(leaf.grad.reshape(-1)[coords], num, f_scale, eps))
     for name, t in store.params():
-        if param_filter is not None and not param_filter(name):
-            continue
         assert t.grad is not None, f"parameter {name} received no gradient"
         coords = sample_coords(rng, t.data.size, max_coords)
         _, num = numerical_gradient(value, t.data, eps=eps, coords=coords)

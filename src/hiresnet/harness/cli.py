@@ -92,6 +92,9 @@ def _cmd_eval(args):
 def _cmd_pretrain(args):
     from .data import SynthSpec, synth_dataset
 
+    for name, size, least in (("batch_size", args.batch_size, 1), ("steps", args.steps, 0)):
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, got {size}")
     cfg = moco.PretrainConfig(width=args.width, queue_size=args.queue,
                               momentum=args.momentum, tau=args.tau, lr=args.lr,
                               image_hw=(32, 32))

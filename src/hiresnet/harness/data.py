@@ -208,18 +208,21 @@ def scale_crop(img, lab, ratio, rng):
     return out_img, out_lab
 
 
+def flip_scale(img, lab, rng, ratios, flip_prob):
+    """One augmentation draw: a vertical and a horizontal flip, each with
+    probability `flip_prob`, then `scale_crop` at a ratio drawn from
+    `ratios`. A label map `lab` moves with the image; pass None for none."""
+    for axis in (0, 1):
+        if rng.random() < flip_prob:
+            img = flip_image(img, axis)
+            if lab is not None:
+                lab = np.flip(lab, axis=axis).copy()
+    return scale_crop(img, lab, ratios[rng.integers(len(ratios))], rng)
+
+
 def augment(batch, rng, ratios=SCALE_RATIOS):
     """Random flips plus one scale draw per image, labels moved identically."""
-    images = []
-    labels = []
-    for img, lab in zip(batch.images, batch.labels):
-        if rng.random() < 0.5:
-            img, lab = flip_image(img, 0), np.flip(lab, axis=0).copy()
-        if rng.random() < 0.5:
-            img, lab = flip_image(img, 1), np.flip(lab, axis=1).copy()
-        ratio = ratios[rng.integers(len(ratios))]
-        img, lab = scale_crop(img, lab, ratio, rng)
-        images.append(img)
-        labels.append(lab)
+    images, labels = zip(*(flip_scale(img, lab, rng, ratios, 0.5)
+                           for img, lab in zip(batch.images, batch.labels)))
     return SegBatch(images=np.stack(images).astype(np.float32),
                     labels=np.stack(labels))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import network
 from .. import tensor as T
-from ..losses import LossConfig, combined_loss
+from ..losses import LOSS_KEYS, LossConfig, combined_loss
 from ..network import NetworkConfig
 from ..tensor import Tensor
 from . import checkpoint as ckpt
@@ -22,7 +22,7 @@ from .data import SynthSpec, augment, class_frequencies, stack_batches, synth_da
 from .metrics import metrics, new_confusion, update_confusion
 from .optim import OptimState, Schedule, adamw_step, lr_at
 
-LOG_COLUMNS = ("step", "lr", "loss_total", "loss_gd", "loss_lsce", "loss_cea", "split")
+LOG_COLUMNS = ("step", "lr", *LOSS_KEYS, "split")
 
 
 def _parse_field(field, text):
@@ -77,8 +77,7 @@ class TsvLog:
 
     def log(self, step, lr, breakdown, split):
         fields = [str(step), format_float(lr)]
-        fields += [format_float(breakdown[c]) for c in
-                   ("loss_total", "loss_gd", "loss_lsce", "loss_cea")]
+        fields += [format_float(breakdown[key]) for key in LOSS_KEYS]
         fields.append(split)
         self._write("\t".join(fields))
 
@@ -115,7 +114,7 @@ def evaluate_store(store, config, dataset, loss_config, batch_size=4, seed=0):
     mean combined loss for logging."""
     cm = new_confusion(config.num_classes)
     cea_rng = np.random.default_rng(seed)
-    losses = {"loss_total": 0.0, "loss_gd": 0.0, "loss_lsce": 0.0, "loss_cea": 0.0}
+    losses = dict.fromkeys(LOSS_KEYS, 0.0)
     n_batches = 0
     for batch in _make_batches(dataset, batch_size, np.arange(len(dataset))):
         out = network.network_forward(Tensor(batch.images), store, config, training=False)
@@ -128,6 +127,13 @@ def evaluate_store(store, config, dataset, loss_config, batch_size=4, seed=0):
     for key in losses:
         losses[key] /= max(n_batches, 1)
     return metrics(cm), losses
+
+
+def scene_set(config, data_seed, count, val=False):
+    """`count` synthetic scenes at the config's size and class count; the
+    validation scenes of a run are drawn from `data_seed + 1000`."""
+    return synth_dataset(SynthSpec(seed=data_seed + (1000 if val else 0), count=count,
+                                   hw=config.input_hw, num_classes=config.num_classes))
 
 
 def _train_step(store, opt, config, batch, loss_config, cea_rng, lr):
@@ -155,10 +161,8 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
     loss_config = loss_config or LossConfig()
-    train_set = synth_dataset(SynthSpec(seed=data_seed, count=train_count,
-                                        hw=config.input_hw, num_classes=config.num_classes))
-    val_set = synth_dataset(SynthSpec(seed=data_seed + 1000, count=val_count,
-                                      hw=config.input_hw, num_classes=config.num_classes))
+    train_set = scene_set(config, data_seed, train_count)
+    val_set = scene_set(config, data_seed, val_count, val=True)
     store = network.init_network(config, np.random.default_rng(init_seed))
     opt = OptimState()
     log = TsvLog(log_path)
@@ -225,8 +229,7 @@ def evaluate_checkpoint(ckpt_path, data_seed=0, batch_size=4, val_count=8,
     config = config_from_meta(meta)
     store = network.init_network(config, np.random.default_rng(0))
     ckpt.restore_store(store, params, buffers, path=ckpt_path)
-    val_set = synth_dataset(SynthSpec(seed=data_seed + 1000, count=val_count,
-                                      hw=config.input_hw, num_classes=config.num_classes))
+    val_set = scene_set(config, data_seed, val_count, val=True)
     result, _ = evaluate_store(store, config, val_set, loss_config or LossConfig(),
                                batch_size=batch_size)
     if dump_dir is not None:

@@ -17,14 +17,14 @@ from ..tensor import ConvSpec, Tensor
 
 
 def _grad_suite(rng):
-    cases = {
-        "elementwise": lambda ts: T.tsum(T.gelu(ts[0]) * T.silu(ts[0]) + T.sigmoid(ts[0])),
-        "matmul": lambda ts: T.tsum(T.matmul(ts[0].reshape((4, 5)), ts[1].reshape((5, 3))) ** 2.0),
-        "softmax": lambda ts: T.tsum(T.softmax(ts[0], axis=0) ** 2.0),
-    }
+    cases = (  # (scalar function of the leaf tensors, leaf shapes)
+        (lambda ts: T.tsum(T.gelu(ts[0]) * T.silu(ts[0]) + T.sigmoid(ts[0])), [(20,)]),
+        (lambda ts: T.tsum(T.matmul(ts[0].reshape((4, 5)), ts[1].reshape((5, 3))) ** 2.0),
+         [(20,), (15,)]),
+        (lambda ts: T.tsum(T.softmax(ts[0], axis=0) ** 2.0), [(12,)]),
+    )
     worst = 0.0
-    for name, build in cases.items():
-        shapes = {"elementwise": [(20,)], "matmul": [(20,), (15,)], "softmax": [(12,)]}[name]
+    for build, shapes in cases:
         arrays = [rng.normal(size=s) for s in shapes]
         worst = max(worst, check_gradients(build, arrays, rng, max_coords=6))
     x = rng.normal(size=(1, 2, 6, 6))

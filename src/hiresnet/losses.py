@@ -15,8 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .distance import cascaded_conv_dt
+from .distance import cascaded_conv_dt, onehot
 from .tensor import Tensor
+
+TERMS = ("gd", "lsce", "cea")
+# the logged loss values: the weighted total, then each term over both outputs
+LOSS_KEYS = ("loss_total", *(f"loss_{part}" for part in TERMS))
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,6 @@ def _check_labels(labels, num_classes):
     return lab
 
 
-def _onehot_like(labels, probs_data):
-    n, k = probs_data.shape[:2]
-    planes = (labels[:, None] == np.arange(k).reshape(1, k, 1, 1))
-    return planes.astype(probs_data.dtype)
-
-
 def gd_loss(probs, labels):
     """Generalized dice over all classes present in the batch.
 
@@ -63,7 +61,7 @@ def gd_loss(probs, labels):
     cannot contribute overlap).
     """
     labels = _check_labels(labels, probs.shape[1])
-    r = _onehot_like(labels, probs.data)
+    r = onehot(labels, probs.shape[1]).swapaxes(0, 1).astype(probs.data.dtype, order="C")
     counts = r.sum(axis=(0, 2, 3))
     w = np.zeros_like(counts)
     present = counts > 0
@@ -85,7 +83,7 @@ def lsce_loss(logits, labels, epsilon):
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     labels = _check_labels(labels, k)
-    y = _onehot_like(labels, logits.data)
+    y = onehot(labels, k).swapaxes(0, 1).astype(logits.data.dtype, order="C")
     y = y * (1.0 - epsilon - epsilon / (k - 1)) + epsilon / (k - 1)
     logp = T.log_softmax(logits, axis=1)
     n_pix = logits.shape[0] * logits.shape[2] * logits.shape[3]
@@ -166,7 +164,7 @@ def combined_loss(output, labels, config, rng):
         breakdown[f"{name}_total"] = float(term.data)
         weighted = term * ratios[name]
         total = weighted if total is None else total + weighted
-    for part in ("gd", "lsce", "cea"):
+    for part in TERMS:
         breakdown[f"loss_{part}"] = (config.coarse_ratio * breakdown[f"coarse_{part}"]
                                      + config.refined_ratio * breakdown[f"refined_{part}"])
     breakdown["loss_total"] = float(total.data)

@@ -9,14 +9,14 @@ and its tensors are created with requires_grad disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import network
 from . import tensor as T
 from .blocks import apply_linear
-from .harness.data import SCALE_RATIOS, flip_image, scale_crop
+from .harness.data import SCALE_RATIOS, flip_scale
 from .params import ParamStore, build, record
 from .tensor import Tensor
 
@@ -47,9 +47,7 @@ class MoCoState:
     params_k: ParamStore
     queue: np.ndarray            # [D, Q] unit-norm feature columns
     ptr: int
-    momentum: float
-    tau: float
-    config: PretrainConfig = field(default=None)
+    config: PretrainConfig = None
 
 
 def init_encoder(cfg, rng, dtype=np.float32):
@@ -74,12 +72,11 @@ def l2_normalize(z, eps=1e-12):
 
 def init_moco(cfg, rng):
     params_q = init_encoder(cfg, rng)
-    params_k = params_q.copy(requires_grad=False)
+    params_k = params_q.copy()
     queue = rng.normal(size=(cfg.proj_dim, cfg.queue_size))
     queue /= np.linalg.norm(queue, axis=0, keepdims=True)
     return MoCoState(params_q=params_q, params_k=params_k,
-                     queue=queue.astype(np.float32), ptr=0,
-                     momentum=cfg.momentum, tau=cfg.tau, config=cfg)
+                     queue=queue.astype(np.float32), ptr=0, config=cfg)
 
 
 def infonce(q, k_pos, queue, tau):
@@ -129,13 +126,7 @@ def augment_pair(image, rng, cfg=None):
     cfg = cfg or PretrainConfig()
 
     def one_view():
-        img = image
-        if rng.random() < cfg.flip_prob:
-            img = flip_image(img, 0)
-        if rng.random() < cfg.flip_prob:
-            img = flip_image(img, 1)
-        ratio = cfg.ratios[rng.integers(len(cfg.ratios))]
-        img, _ = scale_crop(img, None, ratio, rng)
+        img, _ = flip_scale(image, None, rng, cfg.ratios, cfg.flip_prob)
         if cfg.jitter > 0:
             img = img * (1.0 + rng.uniform(-cfg.jitter, cfg.jitter, size=(3, 1, 1)))
         return np.clip(img, 0.0, 1.0).astype(np.float32)
@@ -170,10 +161,10 @@ def moco_step(state, images, rng, velocity, lr=None):
     state.params_q.zero_grads()
     with T.Tape():
         q = encode(batch_q, state.params_q, cfg, training=True)
-        loss = infonce(q, keys, state.queue, state.tau)
+        loss = infonce(q, keys, state.queue, cfg.tau)
         T.backward(loss)
     sgd_step(state.params_q, lr, 0.9, velocity)
-    momentum_update(state.params_k, state.params_q, state.momentum)
+    momentum_update(state.params_k, state.params_q, cfg.momentum)
     queue_push(state, keys)
     return float(loss.data)
 

@@ -152,9 +152,7 @@ def fuse(branches, store, prefix, channels, training):
             x = branches[i]
             if i < j:
                 for s in range(j - i):
-                    x = apply_bn(x, store, f"{path}.step{s}.bn", training)
-                    x = apply_conv(x, store, f"{path}.step{s}.conv",
-                                   ConvSpec(channels[i + s + 1], (3, 3), (2, 2), (1, 1)))
+                    x = new_branch(x, store, f"{path}.step{s}", channels[i + s + 1], training)
             else:
                 x = T.bilinear_upsample(x, 2 ** (i - j))
                 x = apply_bn(x, store, f"{path}.bn", training)

@@ -86,13 +86,11 @@ class ParamStore:
         for t in self._params.values():
             t.grad = None
 
-    def copy(self, requires_grad=True):
+    def copy(self):
+        """A frozen copy: every tensor's data copied, none requiring gradients."""
         out = ParamStore(self.dtype)
-        for name, t in self._params.items():
-            clone = Tensor(t.data.copy(), requires_grad=requires_grad)
-            out._params[name] = clone
-        for name, t in self._buffers.items():
-            out._buffers[name] = Tensor(t.data.copy(), requires_grad=False)
+        out._params = {name: Tensor(t.data.copy()) for name, t in self._params.items()}
+        out._buffers = {name: Tensor(t.data.copy()) for name, t in self._buffers.items()}
         return out
 
 

@@ -117,12 +117,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -466,7 +460,7 @@ def tmean(a, axis=None, keepdims=False):
     sa = a.data.shape
 
     def bwd(g):
-        return (_expand_reduced(g, sa, axis, keepdims) / count,)
+        return (_expand_reduced(g / count, sa, axis, keepdims),)
 
     return _record(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
@@ -822,26 +816,23 @@ def conv2d(x, weight, bias, spec):
 
 
 def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, momentum=0.1):
-    """running_mean / running_var are plain buffers. A training call sets each to
-    (1 − momentum)·old + momentum·batch, for the batch mean and the biased batch
-    variance (÷ N·H·W, the one that normalizes the batch; not ÷ N·H·W − 1)."""
+    """running_mean / running_var are plain arrays. A training call sets each, in
+    place, to (1 − momentum)·old + momentum·batch, for the batch mean and the biased
+    batch variance (÷ N·H·W, the one that normalizes the batch; not ÷ N·H·W − 1)."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-    rm = running_mean.data if isinstance(running_mean, Tensor) else running_mean
-    rv = running_var.data if isinstance(running_var, Tensor) else running_var
-
     if training:
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        rm *= 1.0 - momentum
-        rm += momentum * mu
-        rv *= 1.0 - momentum
-        rv += momentum * var
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
     else:
-        mu, var = rm, rv
+        mu, var = running_mean, running_var
 
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
@@ -904,10 +895,4 @@ def bilinear_upsample(x, scale):
 
 
 def global_avg_pool(x):
-    n, c, h, w = x.data.shape
-    out = x.data.mean(axis=(2, 3))
-
-    def bwd(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)),)
-
-    return _record(out, (x,), bwd)
+    return tmean(x, axis=(2, 3))

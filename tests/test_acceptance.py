@@ -362,7 +362,7 @@ def test_criterion_09_moco_mechanics():
 
     # momentum-update identities
     pq = moco.init_encoder(cfg, rng)
-    pk = pq.copy(requires_grad=False)
+    pk = pq.copy()
     for _, t in pq.params():
         t.data += 0.25
     moco.momentum_update(pk, pq, 0.0)
@@ -380,8 +380,7 @@ def test_criterion_09_moco_mechanics():
 
     # FIFO ring reconstruction
     state = moco.MoCoState(params_q=None, params_k=None,
-                           queue=np.zeros((3, 8), dtype=np.float32), ptr=0,
-                           momentum=0.9, tau=0.2)
+                           queue=np.zeros((3, 8), dtype=np.float32), ptr=0)
     history = []
     for _ in range(7):
         keys = rng.normal(size=(2, 3)).astype(np.float32)

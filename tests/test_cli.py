@@ -92,11 +92,21 @@ def test_bad_network_size_is_usage_error(tmp_path, capsys, line):
     (["train", "--epochs", "1", "--batch-size", "0"], "batch_size"),
     (["train", "--epochs", "0", "--val-count", "0"], "val_count"),
     (["train", "--epochs", "1", "--train-count", "0"], "train_count"),
+    (["pretrain", "--steps", "1", "--batch-size", "0"], "batch_size"),
+    (["pretrain", "--steps", "-1"], "steps"),
 ])
 def test_size_below_one_is_usage_error(capsys, argv, name):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert_one_error_line(err, name)
+
+
+def test_zero_step_pretrain_exports_the_initial_encoder(tmp_path, capsys):
+    out_path = tmp_path / "enc.ckpt"
+    code, _, _ = run_cli(["pretrain", "--steps", "0", "--out", str(out_path)], capsys)
+    assert code == 0
+    params, _, _, meta = ckpt.load_checkpoint(out_path)
+    assert params and meta["steps"] == "0"
 
 
 def test_selftest_exits_zero(capsys):

@@ -89,3 +89,35 @@ def test_synthetic_scenes_are_pinned(hw):
     assert scenes_digest(hw) == SCENE_DIGESTS[hw], (
         f"synthetic scenes at {hw} changed: perfbench/baseline.json's loss_last "
         "was recorded from this data and must be re-recorded with this change")
+
+
+def augment_digests():
+    """sha256 of one `augment` batch and of `augment_pair`'s views of the
+    same eight 32x32 scenes. At these seeds the draws take both flips and
+    scale down, up and not at all."""
+    from hiresnet import moco
+
+    batch = D.stack_batches(D.synth_dataset(D.SynthSpec(seed=0, count=8, hw=(32, 32))))
+    out = D.augment(batch, np.random.default_rng(5))
+    aug = hashlib.sha256(out.images.tobytes() + out.labels.tobytes())
+    pair = hashlib.sha256()
+    rng = np.random.default_rng(6)
+    for img in batch.images:
+        for view in moco.augment_pair(img, rng):
+            pair.update(view.tobytes())
+    return {"augment": aug.hexdigest(), "augment_pair": pair.hexdigest()}
+
+
+# The benchmark's recorded desk_train and moco_pretrain losses were computed
+# on batches drawn through these augmentations, so a change to their draws,
+# or to the order of them, shows here first.
+AUGMENT_DIGESTS = {
+    "augment": "cf7fc5b145b624cffad873b7ac9a688701b81d84893ae9b79a6f406bc17c793f",
+    "augment_pair": "f1ad6a7c4c068b81f9d90a26885b59af5ec71c8339db7fffcb959cd1f3d9ca7b",
+}
+
+
+def test_augmentations_are_pinned():
+    assert augment_digests() == AUGMENT_DIGESTS, (
+        "augmentation draws changed: perfbench/baseline.json's loss_last was "
+        "recorded from them and must be re-recorded with this change")

@@ -85,7 +85,7 @@ def test_infonce_gradient_only_through_query():
 def make_pair(seed=0):
     rng = np.random.default_rng(seed)
     pq = moco.init_encoder(CFG, rng)
-    pk = pq.copy(requires_grad=False)
+    pk = pq.copy()
     for _, t in pq.params():
         t.data += 0.1  # separate the sets
     return pq, pk
@@ -137,8 +137,7 @@ def test_key_params_never_require_grad():
 
 def test_queue_ring_overwrites_fifo():
     state = MoCoState(params_q=None, params_k=None,
-                      queue=np.zeros((3, 4), dtype=np.float32), ptr=0,
-                      momentum=0.9, tau=0.2)
+                      queue=np.zeros((3, 4), dtype=np.float32), ptr=0)
     def keys(tag, n=2):
         return np.full((n, 3), tag, dtype=np.float32)
     moco.queue_push(state, keys(1.0))
@@ -150,8 +149,7 @@ def test_queue_ring_overwrites_fifo():
 
 def test_queue_ptr_wraps_to_zero():
     state = MoCoState(params_q=None, params_k=None,
-                      queue=np.zeros((2, 6), dtype=np.float32), ptr=0,
-                      momentum=0.9, tau=0.2)
+                      queue=np.zeros((2, 6), dtype=np.float32), ptr=0)
     for _ in range(3):
         moco.queue_push(state, np.ones((2, 2), dtype=np.float32))
     assert state.ptr == 0
@@ -162,8 +160,7 @@ def test_queue_reconstruction_after_many_pushes():
     rng = np.random.default_rng(4)
     q_size, dim, batch = 8, 3, 2
     state = MoCoState(params_q=None, params_k=None,
-                      queue=np.zeros((dim, q_size), dtype=np.float32), ptr=0,
-                      momentum=0.9, tau=0.2)
+                      queue=np.zeros((dim, q_size), dtype=np.float32), ptr=0)
     history = []
     for _ in range(7):
         keys = rng.normal(size=(batch, dim)).astype(np.float32)
@@ -177,8 +174,7 @@ def test_queue_reconstruction_after_many_pushes():
 
 def test_queue_rejects_dim_mismatch():
     state = MoCoState(params_q=None, params_k=None,
-                      queue=np.zeros((3, 4), dtype=np.float32), ptr=0,
-                      momentum=0.9, tau=0.2)
+                      queue=np.zeros((3, 4), dtype=np.float32), ptr=0)
     with pytest.raises(ValueError):
         moco.queue_push(state, np.ones((2, 5), dtype=np.float32))
 
