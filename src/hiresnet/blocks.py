@@ -40,10 +40,12 @@ def apply_bn(x, store, name, training):
                          training=training)
 
 
-def apply_conv(x, store, name, spec):
+def apply_conv(x, store, name, spec, bias=True):
+    """`bias=False` before a training-mode batch norm, whose mean cancels a bias."""
     shape = (spec.out_channels, x.shape[1] // spec.groups, *spec.kernel)
     return T.conv2d(x, store.get(f"{name}.weight", shape, conv_uniform),
-                    store.get(f"{name}.bias", (spec.out_channels,), zeros), spec)
+                    store.get(f"{name}.bias", (spec.out_channels,), zeros) if bias else None,
+                    spec)
 
 
 def apply_linear(x, store, name, out_features):

@@ -153,8 +153,7 @@ def _train_step(store, opt, config, batch, loss_config, cea_rng, lr):
 
 def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
           batch_size=4, base_lr=3e-3, train_count=16, val_count=8,
-          out_path=None, log_path=None, warmup_epochs=None, use_augment=True,
-          quiet=False):
+          out_path=None, log_path=None, use_augment=True, quiet=False):
     """Full training run on the synthetic dataset. Returns a summary dict."""
     for name, size in (("batch_size", batch_size), ("train_count", train_count),
                        ("val_count", val_count)):
@@ -171,11 +170,9 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
     cea_rng = np.random.default_rng(init_seed + 3)
 
     steps_per_epoch = max(1, (len(train_set) + batch_size - 1) // batch_size)
-    if warmup_epochs is None:
-        warmup_epochs = min(3, max(epochs - 1, 0))
     schedule = None
     if epochs > 0:
-        schedule = Schedule(base_lr=base_lr, warmup_epochs=warmup_epochs,
+        schedule = Schedule(base_lr=base_lr, warmup_epochs=min(3, epochs - 1),
                             total_epochs=epochs, steps_per_epoch=steps_per_epoch)
 
     epoch_losses = []
@@ -222,21 +219,18 @@ def train(config, loss_config=None, data_seed=0, init_seed=0, epochs=10,
     }
 
 
-def evaluate_checkpoint(ckpt_path, data_seed=0, batch_size=4, val_count=8,
-                        loss_config=None, dump_dir=None, quiet=False):
+def evaluate_checkpoint(ckpt_path, data_seed=0, batch_size=4, val_count=8, dump_dir=None):
     """Rebuild the network from checkpoint meta and rerun validation."""
     params, buffers, _, meta = ckpt.load_checkpoint(ckpt_path)
     config = config_from_meta(meta)
     store = network.init_network(config, np.random.default_rng(0))
     ckpt.restore_store(store, params, buffers, path=ckpt_path)
     val_set = scene_set(config, data_seed, val_count, val=True)
-    result, _ = evaluate_store(store, config, val_set, loss_config or LossConfig(),
-                               batch_size=batch_size)
+    result, _ = evaluate_store(store, config, val_set, LossConfig(), batch_size=batch_size)
     if dump_dir is not None:
         dump_predictions(store, config, val_set, dump_dir)
     table = metrics_table(result)
-    if not quiet:
-        sys.stdout.write(table)
+    sys.stdout.write(table)
     return result, table
 
 

@@ -12,28 +12,28 @@ class NumericalError(RuntimeError):
     """Raised when training hits non-finite values; maps to CLI exit code 2."""
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    lr: float = 1e-4
     weight_decay: float = 1e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(store, opt, lr=None):
+def adamw_step(store, opt, lr):
     """One decoupled-weight-decay Adam update over every learnable parameter.
 
     Gradients are read from the store tensors; a missing gradient counts as
     zero. Aborts on non-finite gradients.
     """
-    lr = opt.lr if lr is None else lr
     opt.step += 1
-    bc1 = 1.0 - opt.beta1 ** opt.step
-    bc2 = 1.0 - opt.beta2 ** opt.step
+    bc1 = 1.0 - BETA1 ** opt.step
+    bc2 = 1.0 - BETA2 ** opt.step
     for name, t in store.params():
         g = t.grad
         if g is None:
@@ -43,10 +43,10 @@ def adamw_step(store, opt, lr=None):
         if name not in opt.m:
             opt.m[name] = np.zeros_like(t.data)
             opt.v[name] = np.zeros_like(t.data)
-        m = opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        v = opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
+        m = opt.m[name] = BETA1 * opt.m[name] + (1.0 - BETA1) * g
+        v = opt.v[name] = BETA2 * opt.v[name] + (1.0 - BETA2) * g * g
         t.data -= lr * opt.weight_decay * t.data
-        t.data -= (lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)).astype(t.data.dtype)
+        t.data -= (lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)).astype(t.data.dtype)
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,9 @@ def sgd_step(store, lr, momentum, velocity):
         t.data -= (lr * v).astype(t.data.dtype)
 
 
-def moco_step(state, images, rng, velocity, lr=None):
+def moco_step(state, images, rng, velocity):
     """One pretraining step over a [N, 3, H, W] image batch; returns the loss."""
     cfg = state.config
-    lr = cfg.lr if lr is None else lr
     views_q, views_k = [], []
     for img in images:
         a, b = augment_pair(img, rng, cfg)
@@ -163,7 +162,7 @@ def moco_step(state, images, rng, velocity, lr=None):
         q = encode(batch_q, state.params_q, cfg, training=True)
         loss = infonce(q, keys, state.queue, cfg.tau)
         T.backward(loss)
-    sgd_step(state.params_q, lr, 0.9, velocity)
+    sgd_step(state.params_q, cfg.lr, 0.9, velocity)
     momentum_update(state.params_k, state.params_q, cfg.momentum)
     queue_push(state, keys)
     return float(loss.data)

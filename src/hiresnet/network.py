@@ -125,11 +125,11 @@ def funnel_forward(image, store, width, ib_blocks, training, prefix="funnel"):
     return x
 
 
-def new_branch(x, store, prefix, c_out, training):
+def new_branch(x, store, prefix, c_out, training, bias=True):
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"cannot halve odd spatial dims {x.shape[2:]}")
     h = apply_bn(x, store, f"{prefix}.bn", training)
-    return apply_conv(h, store, f"{prefix}.conv", ConvSpec(c_out, (3, 3), (2, 2), (1, 1)))
+    return apply_conv(h, store, f"{prefix}.conv", ConvSpec(c_out, (3, 3), (2, 2), (1, 1)), bias)
 
 
 def _apply_stage_block(x, store, prefix, config, training):
@@ -151,8 +151,9 @@ def fuse(branches, store, prefix, channels, training):
             path = f"{prefix}.{i}to{j}"
             x = branches[i]
             if i < j:
-                for s in range(j - i):
-                    x = new_branch(x, store, f"{path}.step{s}", channels[i + s + 1], training)
+                for s in range(j - i):  # each step's conv but the last feeds the next BN
+                    x = new_branch(x, store, f"{path}.step{s}", channels[i + s + 1], training,
+                                   bias=(s == j - i - 1))
             else:
                 x = T.bilinear_upsample(x, 2 ** (i - j))
                 x = apply_bn(x, store, f"{path}.bn", training)
@@ -179,7 +180,7 @@ def multi_branch_forward(x, store, config, training):
 
 
 def _embed(x, store, name, d, training):
-    h = apply_conv(x, store, f"{name}.conv", ConvSpec(d, (1, 1)))
+    h = apply_conv(x, store, f"{name}.conv", ConvSpec(d, (1, 1)), bias=False)
     h = apply_bn(h, store, f"{name}.bn", training)
     return T.gelu(h)
 

@@ -3,6 +3,7 @@ metrics, and the checkpoint container."""
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,7 +13,7 @@ from hiresnet.harness import checkpoint as ckpt
 from hiresnet.harness import data as D
 from hiresnet.harness import metrics as M
 from hiresnet.harness.loop import config_from_meta, config_to_meta
-from hiresnet.harness.optim import (NumericalError, OptimState, Schedule,
+from hiresnet.harness.optim import (EPS, NumericalError, OptimState, Schedule,
                                     adamw_step, lr_at)
 from hiresnet.network import NetworkConfig, init_network
 from hiresnet.params import ParamStore
@@ -73,7 +74,7 @@ def test_adamw_first_step_is_bias_corrected():
     store["w"].grad = g
     opt = OptimState(weight_decay=0.01)
     adamw_step(store, opt, lr=0.1)
-    expect = theta - 0.1 * g / (np.abs(g) + opt.eps) - 0.1 * 0.01 * theta
+    expect = theta - 0.1 * g / (np.abs(g) + EPS) - 0.1 * 0.01 * theta
     np.testing.assert_allclose(store["w"].data, expect, rtol=1e-12)
 
 
@@ -493,18 +494,24 @@ def test_checkpoint_restore_names_missing_and_misshaped_buffers(tmp_path):
         ckpt.restore_store(other, params, buffers, path=str(path))
 
 
-def test_checkpoint_with_key_bias_entries_restores(tmp_path):
-    # checkpoints written before window attention dropped its (dead) key
-    # bias carry `*.attn.k.bias`; restore_store ignores names the store lacks
+@pytest.mark.parametrize("weights, count", [
+    (r".*\.attn\.k\.weight", 22),  # the key bias cancels in the softmax
+    # these convs feed a training-mode BN, whose batch mean cancels the bias
+    (r"refine\.(pixel_key|region_key|region_value)\.conv\.weight"
+     r"|layer2\.mod\d\.fuse\.0to2\.step0\.conv\.weight", 5),
+], ids=["attn_key_bias", "conv_bias_before_bn"])
+def test_checkpoint_with_key_bias_entries_restores(tmp_path, weights, count):
+    # checkpoints written before a dead bias was dropped carry its entry;
+    # restore_store ignores names the store lacks
     config = NetworkConfig()
     store = init_network(config, np.random.default_rng(3))
     entries = {f"param.{name}": t.data for name, t in store.params()}
     entries.update({f"buffer.{name}": t.data for name, t in store.buffers()})
-    stale = [name.replace(".k.weight", ".k.bias") for name, _ in store.params()
-             if name.endswith(".attn.k.weight")]
-    assert stale
-    for name in stale:
-        entries[f"param.{name}"] = np.full(config.heads * config.head_dim, 0.25, np.float32)
+    stale = {name.replace(".weight", ".bias"): t.data.shape[0] for name, t in store.params()
+             if re.fullmatch(weights, name)}
+    assert len(stale) == count
+    for name, size in stale.items():
+        entries[f"param.{name}"] = np.full(size, 0.25, np.float32)
     path = tmp_path / "old.ckpt"
     ckpt.write_entries(path, entries)
 

@@ -23,10 +23,12 @@ def store_arrays(store, tag=""):
 
 
 # Computed with the explicit per-layer init functions the forward-recorded
-# parameters replaced. perfbench/baseline.json records loss_last per seed
+# parameters replaced; NETWORK_DIGEST is their digest without the five conv
+# biases that a batch norm cancels, so dropping those moved no other initial
+# value. perfbench/baseline.json records loss_last per seed
 # from these exact initial weights (and the synthetic data), so a change to
 # any name, order, shape, dtype, initializer or draw shows here first.
-NETWORK_DIGEST = "09ee21412c6d099c9df19d1918a61b34d90135d3fb790a17aa6c46433284bc79"
+NETWORK_DIGEST = "861f08dbfe9b6ea4d121854d75d3f6baccbcd7e354aa2a268493a472dfb4e678"
 MOCO_DIGEST = "2621308f98d111e679d4ffc4e5f8bc4340c4861809ed7a7bb1b5310f8ee0032f"
 
 
@@ -34,7 +36,8 @@ def test_initial_network_weights_are_pinned():
     store = network.init_network(NetworkConfig(), np.random.default_rng(0))
     assert digest(store_arrays(store)) == NETWORK_DIGEST, (
         "initial DESK weights changed: perfbench/baseline.json's desk_train "
-        "loss_last was recorded from them and must be re-recorded with this change")
+        "loss_last was recorded from them; re-record it if it now moves beyond "
+        "perfbench/run.py's LOSS_RTOL")
 
 
 def test_initial_moco_state_is_pinned():

@@ -1,6 +1,8 @@
 """Network assembly: resolution ladder, fusion behavior, refinement head
 contracts, determinism, and parameter accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import hiresnet.tensor as T
 from hiresnet import network
 from hiresnet.blocks import apply_linear
 from hiresnet.gradcheck import check_store_gradients
+from hiresnet.losses import LossConfig, combined_loss
 from hiresnet.network import NetworkConfig
 from hiresnet.params import ParamStore, build, record
 
@@ -228,6 +231,34 @@ def test_every_stage_parameter_gets_gradient():
         T.backward(loss)
     missing = [name for name, t in store.params() if t.grad is None]
     assert not missing, f"no gradient reached: {missing[:5]}"
+
+
+@pytest.mark.parametrize("config", [
+    DESK,
+    NetworkConfig(block_kind="basic"),
+    # full-scale widths and modules (1, 4), one block per stage: ~1.4 s
+    dataclasses.replace(NetworkConfig.full_scale(num_classes=4, input_hw=(112, 112)),
+                        blocks=(1, 1, 1)),
+], ids=["desk", "basic", "full_scale"])
+def test_network_no_dead_parameters(config):
+    # the whole-network form of test_ia_block_no_dead_parameters: one float64
+    # training step through the loss. A conv bias straight before a
+    # training-mode BN gets ~1e-17 of the largest gradient norm; the smallest
+    # live one gets 6e-6 (full_scale) to 6e-4 (basic) of it
+    rng = np.random.default_rng(21)
+    store = init(config, seed=20, dtype=np.float64)
+    images = T.Tensor(rng.uniform(size=(2, 3, *config.input_hw)))
+    labels = rng.integers(0, config.num_classes, size=(2, *config.input_hw))
+    store.zero_grads()
+    with T.Tape():
+        out = network.network_forward(images, store, config, training=True)
+        total, _ = combined_loss(out, labels, LossConfig(), rng)
+        T.backward(total)
+    norms = {name: np.linalg.norm(t.grad) if t.grad is not None else 0.0
+             for name, t in store.params()}
+    top = max(norms.values())
+    dead = [f"{name} ({g / top:.1e})" for name, g in norms.items() if g <= 1e-9 * top]
+    assert not dead, f"gradient norm at most 1e-9 of the largest: {dead}"
 
 
 # ---------------------------------------------------------------------------

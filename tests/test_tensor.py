@@ -522,6 +522,31 @@ def test_batchnorm_eval_uses_running_stats():
     np.testing.assert_array_equal(rm, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("case", ["1x1", "3x3-s2-p1"])
+def test_batchnorm_in_training_cancels_a_conv_bias(case):
+    # why the network's convs that feed a training-mode BN have no bias: the
+    # batch mean subtracts it, so it changes no output and gets no gradient
+    shape, spec = CONV_CASES[case]
+    rng = np.random.default_rng(13)
+    x, gamma, beta = rand(rng, shape), rand(rng, (4,)), rand(rng, (4,))
+    w = rand(rng, (4, shape[1], *spec.kernel))
+    tgt = rand(rng, T.conv2d(T.Tensor(x), T.Tensor(w), None, spec).shape)
+
+    def step(bias):
+        wt = T.Tensor(w, requires_grad=True)
+        with T.Tape():
+            out = T.batchnorm2d(T.conv2d(T.Tensor(x), wt, bias, spec), T.Tensor(gamma),
+                                T.Tensor(beta), *bn_buffers(4), training=True)
+            T.backward(T.tsum(out * T.Tensor(tgt)))
+        return out.data, wt.grad
+
+    bias = T.Tensor(rand(rng, (4,)), requires_grad=True)
+    out_b, grad_w = step(bias)
+    out_none, _ = step(None)
+    np.testing.assert_allclose(out_b, out_none, rtol=0, atol=1e-12)
+    assert np.linalg.norm(bias.grad) <= 1e-12 * np.linalg.norm(grad_w)
+
+
 # ---------------------------------------------------------------------------
 # bilinear upsampling
 
