@@ -15,7 +15,7 @@ from .. import moco
 from ..losses import LossConfig
 from ..network import NetworkConfig
 from . import checkpoint as ckpt
-from .loop import evaluate_checkpoint, parse_config_file, train
+from .loop import config_to_meta, evaluate_checkpoint, parse_config_file, train
 from .optim import NumericalError
 from .selftest import run_selftest
 
@@ -113,10 +113,8 @@ def _cmd_pretrain(args):
         if step % 50 == 0 or step == args.steps - 1:
             sys.stdout.write(f"step {step}\tloss {loss:.6f}\n")
     if args.out:
-        store, meta = moco.export_encoder(state)
-        meta.update({"steps": args.steps, "queue": args.queue,
-                     "momentum": args.momentum, "tau": args.tau})
-        ckpt.save_checkpoint(store, None, meta, args.out)
+        meta = config_to_meta(cfg) | {"steps": args.steps, "encoder_only": 1}
+        ckpt.save_checkpoint(state.params_q, None, meta, args.out)
     return 0
 
 

@@ -25,6 +25,9 @@ _SHAPE_COLORS = {
     3: (0.92, 0.90, 0.82),   # polylines
 }
 
+SHAPE_DENSITY = 1.3   # expected shapes per family per image
+PIXEL_NOISE = 0.02    # std of the Gaussian noise added to every image
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -32,8 +35,6 @@ class SynthSpec:
     count: int = 8
     hw: tuple = (64, 64)
     num_classes: int = 4
-    density: float = 1.3     # expected shapes per family per image
-    noise: float = 0.02
 
 
 @dataclass
@@ -107,10 +108,10 @@ def synth_dataset(spec):
         img = _background(rng, h, w)
         lab = np.zeros((h, w), dtype=np.int64)
         for cls in range(1, spec.num_classes):
-            n_shapes = min(3, max(1, int(rng.poisson(spec.density))))
+            n_shapes = min(3, max(1, int(rng.poisson(SHAPE_DENSITY))))
             for _ in range(n_shapes):
                 _PAINTERS[cls](rng, img, lab, cls)
-        img += rng.normal(0.0, spec.noise, size=img.shape)
+        img += rng.normal(0.0, PIXEL_NOISE, size=img.shape)
         np.clip(img, 0.0, 1.0, out=img)
         out.append(SegBatch(images=img[None].astype(np.float32), labels=lab[None]))
     return out

@@ -50,7 +50,8 @@ def config_from_overrides(overrides):
 
 
 def config_to_meta(config):
-    return {f"cfg_{f.name}": getattr(config, f.name) for f in dataclasses.fields(NetworkConfig)}
+    """One `cfg_<field>` meta entry per field of the config dataclass given."""
+    return {f"cfg_{f.name}": getattr(config, f.name) for f in dataclasses.fields(config)}
 
 
 def config_from_meta(meta):

@@ -11,7 +11,8 @@ import numpy as np
 from .. import tensor as T
 from ..distance import cascaded_conv_dt, exact_dt
 from ..gradcheck import check_gradients
-from ..losses import LossConfig, cea_loss, gd_loss, lsce_loss, lsce_floor, smoothed_targets
+from ..losses import (LossConfig, cea_loss, cea_weights, gd_loss, lsce_loss, lsce_floor,
+                      smoothed_targets)
 from ..moco import infonce
 from ..tensor import ConvSpec, Tensor
 
@@ -71,8 +72,8 @@ def _loss_suite(rng):
         return False, "label-smoothing floor failed"
 
     lab2 = np.array([[[0, 1], [1, 1]]])
-    perfect = np.stack([(lab2[0] == 0), (lab2[0] == 1)]).astype(float)[None]
-    cea, _ = cea_loss(Tensor(perfect), lab2, LossConfig(), rng, forced_class=1)
+    perfect = Tensor(np.stack([(lab2[0] == 0), (lab2[0] == 1)]).astype(float)[None])
+    cea = cea_loss(perfect, lab2, 1, cea_weights([perfect], lab2, 1, LossConfig())[0])
     if abs(float(cea.data)) > 1e-12:
         return False, "edge-aware zero-residual case failed"
 

@@ -116,53 +116,56 @@ def sample_cea_class(labels, config, rng):
     return int(present[rng.integers(present.size)])
 
 
-def cea_loss(probs, labels, config, rng, forced_class=None):
-    """Edge-aware penalty for one sampled class; returns (loss, class).
+def cea_weights(prob_maps, labels, c, config):
+    """DT(T_c)^beta + DT(S_c)^beta for each output's probabilities, from one
+    distance transform of the stacked masks [T_c, S_c of each output]; S_c is
+    the output's class-c probability thresholded at 0.5."""
+    masks = [np.asarray(labels) == c] + [p.data[:, c] >= 0.5 for p in prob_maps]
+    dt = cascaded_conv_dt(np.stack(masks).astype(np.uint8), config.dt_cap)
+    dt = dt.astype(np.float64) ** config.hd_beta
+    return [(dt[0] + dt_s).astype(p.data.dtype) for p, dt_s in zip(prob_maps, dt[1:])]
 
-    loss = mean over pixels of (T_c - P_c)^2 * (DT(T_c)^beta + DT(S_c)^beta)
-    with S_c the thresholded prediction. Gradients flow through P_c only;
-    the distance maps are piecewise-constant in the prediction.
+
+def cea_loss(probs, labels, c, weight):
+    """Edge-aware penalty for class c under its `cea_weights` map:
+    mean over pixels of (T_c - P_c)^2 * weight. Gradients flow through P_c
+    only; the distance maps are piecewise-constant in the prediction.
     """
     labels = _check_labels(labels, probs.shape[1])
-    c = forced_class if forced_class is not None else sample_cea_class(labels, config, rng)
-    if c is None:
-        return Tensor(np.zeros((), dtype=probs.data.dtype)), None
-
-    t_mask = (labels == c).astype(np.uint8)
-    s_mask = (probs.data[:, c] >= 0.5).astype(np.uint8)
-    beta = config.hd_beta
-    weight = (cascaded_conv_dt(t_mask, config.dt_cap).astype(np.float64) ** beta
-              + cascaded_conv_dt(s_mask, config.dt_cap).astype(np.float64) ** beta
-              ).astype(probs.data.dtype)
-
+    t_mask = (labels == c).astype(probs.data.dtype)
     p_c = T.reshape(T.slice_axis(probs, 1, c, c + 1), t_mask.shape)
-    diff = Tensor(t_mask.astype(probs.data.dtype)) - p_c
-    return T.tmean(diff * diff * Tensor(weight)), c
+    diff = Tensor(t_mask) - p_c
+    return T.tmean(diff * diff * Tensor(weight))
 
 
 def combined_loss(output, labels, config, rng):
     """Weighted GD + LSCE + CEA over both outputs.
 
-    One CEA class is drawn per batch and shared by the coarse and refined
-    terms. Returns (total, breakdown) where the breakdown holds plain floats
-    for logging: per-output terms plus ratio-weighted sums.
+    The one CEA decision of a step: one class drawn per batch, shared by the
+    coarse and refined terms, whose weight maps come from one distance
+    transform; a batch with no drawable class has a zero CEA term. Returns
+    (total, breakdown) where the breakdown holds plain floats for logging:
+    per-output terms plus ratio-weighted sums.
     """
-    cea_class = sample_cea_class(labels, config, rng)
-    breakdown = {"cea_class": cea_class}
-    ratios = {"coarse": config.coarse_ratio, "refined": config.refined_ratio}
+    labels = _check_labels(labels, output.coarse_logits.shape[1])
+    c = sample_cea_class(labels, config, rng)
+    outputs = (("coarse", output.coarse_logits, config.coarse_ratio),
+               ("refined", output.refined_logits, config.refined_ratio))
+    probs = [T.softmax(logits, axis=1) for _, logits, _ in outputs]
+    weights = cea_weights(probs, labels, c, config) if c is not None else [None] * len(probs)
+    breakdown = {}
     total = None
-    for name, logits in (("coarse", output.coarse_logits),
-                         ("refined", output.refined_logits)):
-        probs = T.softmax(logits, axis=1)
-        gd = gd_loss(probs, labels)
+    for (name, logits, ratio), p, weight in zip(outputs, probs, weights):
+        gd = gd_loss(p, labels)
         lsce = lsce_loss(logits, labels, config.epsilon)
-        cea, _ = cea_loss(probs, labels, config, rng, forced_class=cea_class)
+        cea = (cea_loss(p, labels, c, weight) if c is not None
+               else Tensor(np.zeros((), dtype=p.data.dtype)))
         term = gd * config.alpha + lsce * config.beta_w + cea * config.gamma
         breakdown[f"{name}_gd"] = float(gd.data)
         breakdown[f"{name}_lsce"] = float(lsce.data)
         breakdown[f"{name}_cea"] = float(cea.data)
         breakdown[f"{name}_total"] = float(term.data)
-        weighted = term * ratios[name]
+        weighted = term * ratio
         total = weighted if total is None else total + weighted
     for part in TERMS:
         breakdown[f"loss_{part}"] = (config.coarse_ratio * breakdown[f"coarse_{part}"]

@@ -166,8 +166,3 @@ def moco_step(state, images, rng, velocity):
     momentum_update(state.params_k, state.params_q, cfg.momentum)
     queue_push(state, keys)
     return float(loss.data)
-
-
-def export_encoder(state):
-    """Entries for the harness checkpoint, tagged as encoder-only weights."""
-    return state.params_q, {"encoder_only": 1}

@@ -86,11 +86,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_tape", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -113,9 +111,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -814,27 +809,28 @@ def conv2d(x, weight, bias, spec):
 # ---------------------------------------------------------------------------
 # batch normalization (per channel over N,H,W; differentiable through stats)
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
-def batchnorm2d(x, gamma, beta, running_mean, running_var, training, eps=1e-5, momentum=0.1):
+
+def batchnorm2d(x, gamma, beta, running_mean, running_var, training):
     """running_mean / running_var are plain arrays. A training call sets each, in
-    place, to (1 − momentum)·old + momentum·batch, for the batch mean and the biased
-    batch variance (÷ N·H·W, the one that normalizes the batch; not ÷ N·H·W − 1)."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    place, to (1 − BN_MOMENTUM)·old + BN_MOMENTUM·batch, for the batch mean and the
+    biased batch variance (÷ N·H·W, the one that normalizes the batch; not ÷ N·H·W − 1)."""
     n, c, h, w = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
     if training:
         mu = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     gm = gamma.data.reshape(1, c, 1, 1)
     out = gm * xhat + beta.data.reshape(1, c, 1, 1)

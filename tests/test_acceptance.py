@@ -40,6 +40,11 @@ def empty(c, h=4, w=4):
     return Tensor(np.zeros((0, c, h, w)))
 
 
+def cea_term(probs, labels, c, cfg):
+    """One output's CEA term for class c, under its own weight map."""
+    return losses.cea_loss(probs, labels, c, losses.cea_weights([probs], labels, c, cfg)[0])
+
+
 def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
@@ -169,8 +174,7 @@ def test_criterion_01_gradient_suite():
         worst_loss = max(worst_loss, check_gradients(
             lambda ts: losses.lsce_loss(ts[0], labels, 0.1), [logits], rng, max_coords=4))
         worst_loss = max(worst_loss, check_gradients(
-            lambda ts: losses.cea_loss(T.softmax(ts[0], axis=1), labels, cfg,
-                                       np.random.default_rng(0), forced_class=1)[0],
+            lambda ts: cea_term(T.softmax(ts[0], axis=1), labels, 1, cfg),
             [logits * 1.5], rng, max_coords=4))
     assert worst_loss < 1e-4, f"loss rel err {worst_loss}"
 
@@ -224,8 +228,8 @@ def test_criterion_02_loss_oracles():
     for c in range(3):
         perfect[0, c][labels[0] == c] = 1.0
     assert float(losses.gd_loss(Tensor(perfect), labels).data) == pytest.approx(0.0, abs=1e-12)
-    cea, _ = losses.cea_loss(Tensor(perfect), labels, LossConfig(),
-                             np.random.default_rng(0))
+    c = losses.sample_cea_class(labels, LossConfig(), np.random.default_rng(0))
+    cea = cea_term(Tensor(perfect), labels, c, LossConfig())
     assert float(cea.data) == pytest.approx(0.0, abs=1e-12)
     eps = 0.1
     floor_logits = np.stack([[np.log(losses.smoothed_targets(labels[0, i, j], 3, eps))

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, config files, log determinism,
 and the checkpoint/eval round trip."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from hiresnet.harness import checkpoint as ckpt
 from hiresnet.harness.cli import main
+from hiresnet.moco import PretrainConfig
 from hiresnet.network import NetworkConfig
 from hiresnet import network
 
@@ -227,6 +229,16 @@ def test_pretrain_runs_and_exports(tmp_path, capsys):
     params, _, _, meta = ckpt.load_checkpoint(out_path)
     assert float(meta["encoder_only"]) == 1.0
     assert any(name.startswith("funnel.") for name in params)
+
+
+def test_pretrain_meta_records_every_config_field(tmp_path, capsys):
+    out_path = tmp_path / "encoder.ckpt"
+    code, _, _ = run_cli(["pretrain", "--steps", "0", "--width", "4", "--queue", "16",
+                          "--out", str(out_path)], capsys)
+    assert code == 0
+    _, _, _, meta = ckpt.load_checkpoint(out_path)
+    assert meta["cfg_width"] == "4" and meta["cfg_queue_size"] == "16"
+    assert {f"cfg_{f.name}" for f in dataclasses.fields(PretrainConfig)} <= set(meta)
 
 
 def test_dump_preds_writes_pgm(tiny_config, tmp_path, capsys):

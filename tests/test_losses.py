@@ -1,5 +1,6 @@
-"""Loss suite: hand-derived oracles, analytic floors, gradient checks, and
-determinism of the sampled edge-aware term."""
+"""Loss suite: hand-derived oracles, analytic floors, gradient checks,
+determinism of the edge-aware class draw, and the one distance transform
+per combined loss."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import hiresnet.tensor as T
 from hiresnet import losses
 from hiresnet.distance import exact_dt
 from hiresnet.gradcheck import check_gradients
-from hiresnet.losses import LossConfig, cea_loss, combined_loss, gd_loss, lsce_loss
+from hiresnet.losses import (LossConfig, cea_loss, cea_weights, combined_loss, gd_loss,
+                             lsce_loss, sample_cea_class)
 from hiresnet.network import SegOutput
 from hiresnet.tensor import Tensor
 
@@ -155,15 +157,18 @@ def test_lsce_gradient_vs_fd():
 # class-agnostic edge-aware loss
 
 
+def cea(probs, labels, c, cfg):
+    """One output's CEA term for class c, under its own weight map."""
+    return cea_loss(probs, labels, c, cea_weights([probs], labels, c, cfg)[0])
+
+
 def test_cea_perfect_prediction_is_zero_for_every_class():
     rng = np.random.default_rng(6)
     labels = rng.integers(0, 3, size=(1, 6, 6))
     probs = onehot_probs(labels, 3)
     cfg = LossConfig()
     for c in np.unique(labels):
-        loss, picked = cea_loss(probs, labels, cfg, rng, forced_class=int(c))
-        assert picked == c
-        assert abs(float(loss.data)) < 1e-12
+        assert abs(float(cea(probs, labels, int(c), cfg).data)) < 1e-12
 
 
 def test_cea_single_wrong_pixel_hand_value():
@@ -184,8 +189,7 @@ def test_cea_single_wrong_pixel_hand_value():
     expect = (dg[4, 4] ** 2 + ds[4, 4] ** 2) / 64.0
     assert dg[4, 4] == 3  # interior of a 5x5 block
 
-    loss, _ = cea_loss(Tensor(probs_np), labels, cfg, np.random.default_rng(0),
-                       forced_class=1)
+    loss = cea(Tensor(probs_np), labels, 1, cfg)
     assert abs(float(loss.data) - expect) < 1e-9
 
 
@@ -204,8 +208,7 @@ def test_cea_false_positive_inside_predicted_blob_hand_value():
     assert exact_dt(s_mask, cfg.dt_cap)[4, 4] == 3
     assert exact_dt((labels[0] == 1).astype(np.uint8), cfg.dt_cap)[4, 4] == 0
 
-    loss, _ = cea_loss(Tensor(probs_np), labels, cfg, np.random.default_rng(0),
-                       forced_class=1)
+    loss = cea(Tensor(probs_np), labels, 1, cfg)
     assert abs(float(loss.data) - 3.0 ** cfg.hd_beta / 64.0) < 1e-9
 
 
@@ -214,9 +217,10 @@ def test_cea_fixed_seed_reproducible():
     labels = rng_labels.integers(0, 4, size=(2, 8, 8))
     probs = Tensor(softmax_np(rng_labels.normal(size=(2, 4, 8, 8)), axis=1))
     cfg = LossConfig()
-    out = [cea_loss(probs, labels, cfg, np.random.default_rng(123)) for _ in range(2)]
-    assert out[0][1] == out[1][1]
-    assert float(out[0][0].data) == float(out[1][0].data)
+    picks = [sample_cea_class(labels, cfg, np.random.default_rng(123)) for _ in range(2)]
+    assert picks[0] == picks[1] and picks[0] in np.unique(labels)
+    out = [float(cea(probs, labels, c, cfg).data) for c in picks]
+    assert out[0] == out[1]
 
 
 def test_cea_positive_when_thresholded_pixel_disagrees():
@@ -226,18 +230,16 @@ def test_cea_positive_when_thresholded_pixel_disagrees():
     probs_np[0, 1] = 0.9 * (labels[0] == 1)  # shrink: one pixel flipped below
     probs_np[0, 1, 2, 2] = 0.1
     probs_np[0, 0] = 1.0 - probs_np[0, 1]
-    loss, _ = cea_loss(Tensor(probs_np), labels, LossConfig(),
-                       np.random.default_rng(0), forced_class=1)
+    loss = cea(Tensor(probs_np), labels, 1, LossConfig())
     assert float(loss.data) > 0
 
 
 def test_cea_excluded_class_flag():
     labels = np.zeros((1, 4, 4), dtype=np.int64)  # only class 0 present
-    probs = onehot_probs(labels, 2)
     cfg = LossConfig(cea_excluded_class=0)
-    loss, picked = cea_loss(probs, labels, cfg, np.random.default_rng(0))
-    assert picked is None
-    assert float(loss.data) == 0.0
+    assert sample_cea_class(labels, cfg, np.random.default_rng(0)) is None
+    labels[0, 0, 0] = 1
+    assert sample_cea_class(labels, cfg, np.random.default_rng(0)) == 1
 
 
 def test_cea_gradient_through_probs():
@@ -250,12 +252,8 @@ def test_cea_gradient_through_probs():
     probs_ref = softmax_np(logits, axis=1)
     logits[:, :, np.abs(probs_ref[0, 0] - 0.5) < 0.05] *= 2.0
 
-    def build(ts):
-        loss, _ = cea_loss(T.softmax(ts[0], axis=1), labels, cfg,
-                           np.random.default_rng(0), forced_class=1)
-        return loss
-
-    err = check_gradients(build, [logits], rng, max_coords=8)
+    err = check_gradients(lambda ts: cea(T.softmax(ts[0], axis=1), labels, 1, cfg),
+                          [logits], rng, max_coords=8)
     assert err < 1e-4
 
 
@@ -287,8 +285,8 @@ def test_combined_perfect_outputs_hit_floors():
     # bottoms out exactly; check one-hot zeros for GD/CEA separately
     probs = onehot_probs(labels, 3)
     assert abs(float(gd_loss(probs, labels).data)) < 1e-12
-    loss, _ = cea_loss(probs, labels, cfg, np.random.default_rng(0))
-    assert abs(float(loss.data)) < 1e-12
+    c = sample_cea_class(labels, cfg, np.random.default_rng(0))
+    assert abs(float(cea(probs, labels, c, cfg).data)) < 1e-12
 
 
 def test_combined_weights_enter_linearly():
@@ -330,6 +328,63 @@ def test_combined_backward_reaches_both_outputs():
     assert refined.grad is not None and np.max(np.abs(refined.grad)) > 0
 
 
+def test_combined_loss_makes_one_distance_transform_call(monkeypatch):
+    calls = []
+
+    def counted(mask, cap):
+        calls.append(mask.shape)
+        return exact_cascade(mask, cap)
+
+    exact_cascade = losses.cascaded_conv_dt
+    monkeypatch.setattr(losses, "cascaded_conv_dt", counted)
+    rng = np.random.default_rng(15)
+    labels = rng.integers(0, 3, size=(2, 8, 8))
+    combined_loss(make_output(rng, n=2), labels, LossConfig(), np.random.default_rng(0))
+    # T_c and each output's S_c, stacked
+    assert calls == [(3, 2, 8, 8)]
+
+
+@pytest.mark.parametrize("c", [0, 1, 2])
+def test_combined_cea_terms_match_exact_dt_reference(c):
+    rng = np.random.default_rng(16)
+    labels = rng.integers(0, 3, size=(2, 8, 8))
+    out = SegOutput(coarse_logits=Tensor(3.0 * rng.normal(size=(2, 3, 8, 8))),
+                    refined_logits=Tensor(3.0 * rng.normal(size=(2, 3, 8, 8))))
+    cfg = LossConfig(dt_cap=3)
+    # the seed whose draw is c forces the class
+    seed = next(s for s in range(100)
+                if sample_cea_class(labels, cfg, np.random.default_rng(s)) == c)
+    _, bd = combined_loss(out, labels, cfg, np.random.default_rng(seed))
+
+    t_mask = (labels == c).astype(np.uint8)
+    for name in ("coarse", "refined"):
+        p_c = softmax_np(getattr(out, f"{name}_logits").data, axis=1)[:, c]
+        s_mask = (p_c >= 0.5).astype(np.uint8)
+        weight = np.stack([exact_dt(t, cfg.dt_cap) ** cfg.hd_beta
+                           + exact_dt(s, cfg.dt_cap) ** cfg.hd_beta
+                           for t, s in zip(t_mask, s_mask)])
+        expect = np.mean((t_mask - p_c) ** 2 * weight)
+        assert expect > 0
+        assert abs(bd[f"{name}_cea"] - expect) < 1e-12 * expect
+
+
+def test_combined_cea_is_zero_when_only_the_excluded_class_is_present():
+    rng = np.random.default_rng(17)
+    labels = np.zeros((2, 8, 8), dtype=np.int64)
+    _, bd = combined_loss(make_output(rng, n=2), labels, LossConfig(cea_excluded_class=0),
+                          np.random.default_rng(0))
+    assert bd["coarse_cea"] == 0.0 and bd["refined_cea"] == 0.0
+    assert bd["coarse_gd"] > 0 and bd["refined_lsce"] > 0
+
+
+def test_combined_loss_rejects_labels_outside_the_classes():
+    # a drawn class past the logits' classes must not reach the CEA weights
+    labels = np.full((1, 8, 8), 3)
+    with pytest.raises(ValueError, match="labels outside"):
+        combined_loss(make_output(np.random.default_rng(18)), labels, LossConfig(),
+                      np.random.default_rng(0))
+
+
 def test_losses_invariant_under_pixel_permutation():
     rng = np.random.default_rng(13)
     labels = rng.integers(0, 3, size=(1, 4, 4))
@@ -352,12 +407,10 @@ def test_cea_invariant_under_flips():
     labels = rng.integers(0, 2, size=(1, 6, 6))
     probs_np = softmax_np(rng.normal(size=(1, 2, 6, 6)), axis=1)
     cfg = LossConfig()
-    base, _ = cea_loss(Tensor(probs_np), labels, cfg, np.random.default_rng(0),
-                       forced_class=1)
+    base = cea(Tensor(probs_np), labels, 1, cfg)
     for axis in (1, 2):
-        flipped, _ = cea_loss(Tensor(np.flip(probs_np, axis + 1).copy()),
-                              np.flip(labels, axis).copy(), cfg,
-                              np.random.default_rng(0), forced_class=1)
+        flipped = cea(Tensor(np.flip(probs_np, axis + 1).copy()),
+                      np.flip(labels, axis).copy(), 1, cfg)
         assert abs(float(base.data) - float(flipped.data)) < 1e-12
 
 

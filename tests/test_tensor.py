@@ -465,12 +465,6 @@ def test_batchnorm_constant_input_gives_beta():
     np.testing.assert_allclose(out.data[:, 1], -0.5, atol=1e-6)
 
 
-def test_batchnorm_eps_must_be_positive():
-    rm, rv = bn_buffers(1)
-    with pytest.raises(ValueError):
-        T.batchnorm2d(T.zeros((1, 1, 2, 2)), T.ones((1,)), T.zeros((1,)), rm, rv, True, eps=0.0)
-
-
 def test_batchnorm_channel_mismatch():
     rm, rv = bn_buffers(2)
     with pytest.raises(T.ShapeError):
@@ -515,8 +509,8 @@ def test_batchnorm_eval_uses_running_stats():
     x = rng.normal(size=(2, 2, 4, 4))
     rm = np.array([1.0, -1.0])
     rv = np.array([4.0, 0.25])
-    out = T.batchnorm2d(T.Tensor(x), T.ones((2,)), T.zeros((2,)), rm, rv, training=False, eps=1e-5)
-    expect = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
+    out = T.batchnorm2d(T.Tensor(x), T.ones((2,)), T.zeros((2,)), rm, rv, training=False)
+    expect = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + T.BN_EPS)
     np.testing.assert_allclose(out.data, expect, rtol=1e-6)
     # eval mode must not touch the buffers
     np.testing.assert_array_equal(rm, [1.0, -1.0])
